@@ -81,7 +81,7 @@ fn main() {
         for code_scan in [false, true] {
             let stats = stats_handle();
             let mut sum = 0i64;
-            let mut per_run = scc_storage::ScanStats::default();
+            let mut per_run = scc_storage::ScanSnapshot::default();
             let mut decoded = 0u64;
             let mut skipped = 0u64;
             let cpu = time_median(3, || {
@@ -99,7 +99,7 @@ fn main() {
                 let (d, s) = agg.explain().values_totals();
                 decoded = d;
                 skipped = s;
-                per_run = stats.lock().unwrap().take();
+                per_run = stats.take();
             });
             std::hint::black_box(sum);
             let cpu_ms = cpu * 1e3;

@@ -49,7 +49,7 @@ fn main() {
             let mut total = 0usize;
             // Drain the shared handle per run so the reported RAM
             // traffic is a true per-run figure, not total/run-count.
-            let mut per_run = scc_storage::ScanStats::default();
+            let mut per_run = scc_storage::ScanSnapshot::default();
             let t = time_median(3, || {
                 let mut scan =
                     Scan::new(Arc::clone(&table), &["x"], opts, Arc::clone(&stats), None);
@@ -58,7 +58,7 @@ fn main() {
                 while let Some(batch) = scan.next() {
                     total += batch.len();
                 }
-                per_run = stats.lock().unwrap().take();
+                per_run = stats.take();
             });
             assert_eq!(total, rows);
             (t, per_run.ram_traffic_bytes)

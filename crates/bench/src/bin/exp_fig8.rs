@@ -23,7 +23,7 @@ fn split(db: &TpchDb, q: u32, disk: Disk, layout: Layout, mode: ScanMode) -> Spl
     let run = run_query(db, &cfg, q);
     Split {
         io_stall: run.stats.stall_seconds(run.cpu_seconds),
-        decompress: run.stats.decompress_seconds,
+        decompress: run.stats.decompress_seconds(),
         processing: run.processing_seconds(),
         retries: run.stats.retries,
         checksum_failures: run.stats.checksum_failures,

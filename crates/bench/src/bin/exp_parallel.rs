@@ -12,9 +12,10 @@
 //!    parallelizes trivially: decode a multi-segment PFOR column with
 //!    1..=N threads via `thread::scope`.
 //! 2. **Full scan path** — the same parallelism through the storage
-//!    stack: [`ParallelScan`] workers pull segments through the modeled
-//!    disk and shared buffer pool, decompress, and feed a Q6-style
-//!    `Select` on the calling thread.
+//!    stack: `Scan::into_plan` workers pull segments through the modeled
+//!    disk and shared buffer pool and run a Q6-style `Select` over the
+//!    codes, decoding only survivors; one thread is the serial plan on
+//!    the calling thread.
 //!
 //! Environment: `SCC_ROWS` (default 16 Mi, raw sweep), `SCC_PIPE_ROWS`
 //! (default 4 Mi, pipeline sweep), `SCC_MAX_THREADS` (default: detected
@@ -24,9 +25,9 @@
 use scc_bench::data::with_exception_rate;
 use scc_bench::{env_usize, gb_per_sec, time_median};
 use scc_core::pfor;
-use scc_engine::{Expr, Select};
+use scc_engine::Expr;
 use scc_storage::disk::stats_handle;
-use scc_storage::{pool_handle, ParallelScan, ScanOptions, TableBuilder};
+use scc_storage::{pool_handle, Scan, ScanOptions, TableBuilder};
 use std::sync::Arc;
 use std::thread;
 
@@ -76,8 +77,8 @@ fn raw_decode_sweep(rows: usize, max_threads: usize) {
     }
 }
 
-/// Q6-shaped pipeline: ParallelScan (disk -> pool -> decompress) feeding
-/// a `Select` that keeps ~10% of rows, drained on the calling thread.
+/// Q6-shaped pipeline: scan (disk -> pool -> codes) under a pushed-down
+/// `Select` that keeps ~10% of rows, drained on the calling thread.
 fn pipeline_sweep(rows: usize, max_threads: usize) {
     let seg_rows = 1 << 18;
     let key: Vec<i64> =
@@ -104,16 +105,15 @@ fn pipeline_sweep(rows: usize, max_threads: usize) {
     for t_count in thread_counts(max_threads) {
         let mut rows_out = 0usize;
         let run = |rows_out: &mut usize| {
-            let scan = ParallelScan::new(
+            let mut plan = Scan::new(
                 Arc::clone(&table),
                 &["key", "val"],
                 ScanOptions::default(),
                 stats_handle(),
                 Some(Arc::clone(&pool)),
-                t_count,
-            );
-            let mut plan = Select::new(Box::new(scan), Expr::col(0).lt(Expr::lit_i64(cutoff)));
-            let batch = scc_engine::ops::collect(&mut plan);
+            )
+            .into_plan(Some(Expr::col(0).lt(Expr::lit_i64(cutoff))), t_count);
+            let batch = scc_engine::ops::collect(plan.as_mut());
             *rows_out = batch.len();
         };
         run(&mut rows_out); // warm the pool so every timed run hits it

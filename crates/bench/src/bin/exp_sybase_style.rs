@@ -13,7 +13,7 @@ use scc_bench::{env_usize, time_median};
 use scc_engine::{AggExpr, Expr, HashAggregate, Operator, Select};
 use scc_storage::disk::stats_handle;
 use scc_storage::{
-    Compression, DecompressionGranularity, Disk, Layout, Scan, ScanMode, ScanOptions, ScanStats,
+    Compression, DecompressionGranularity, Disk, Layout, Scan, ScanMode, ScanOptions, ScanSnapshot,
     TableBuilder,
 };
 use std::sync::Arc;
@@ -56,7 +56,7 @@ fn main() {
         // Every timed run does identical work, so draining the shared
         // handle at the end of each run leaves the last run's true
         // per-run counters — no averaging over an accumulated total.
-        let mut per_run = ScanStats::default();
+        let mut per_run = ScanSnapshot::default();
         let cpu = time_median(3, || {
             let scan = Scan::new(
                 Arc::clone(&table),
@@ -77,9 +77,9 @@ fn main() {
             let filtered = Select::new(scan, Expr::col(0).lt(Expr::lit_i64(41_000)));
             let mut agg = HashAggregate::new(filtered, vec![], vec![AggExpr::Sum(Expr::col(0))]);
             result = agg.next().expect("one group").col(0).as_i64()[0];
-            per_run = stats.lock().unwrap().take();
+            per_run = stats.take();
         });
-        let io = per_run.io_seconds;
+        let io = per_run.io_seconds();
         let total = cpu + (io - cpu).max(0.0);
         let ratio = table.plain_bytes() as f64 / table.compressed_bytes() as f64;
         println!(

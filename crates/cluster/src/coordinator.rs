@@ -193,7 +193,7 @@ impl Coordinator {
             let salt = self.next_salt();
             workers.push(std::thread::spawn(move || {
                 if empty {
-                    let _ = tx.send((p as u64, Ok(Vec::new())));
+                    let _ = tx.send(Partition::new(p as u64, Ok(Vec::new())));
                     return;
                 }
                 let deadline = policy.deadline;
@@ -204,7 +204,7 @@ impl Coordinator {
                 match result {
                     Ok((batches, rows)) => {
                         total_rows.fetch_add(rows, Ordering::Relaxed);
-                        let _ = tx.send((p as u64, Ok(batches)));
+                        let _ = tx.send(Partition::new(p as u64, Ok(batches)));
                     }
                     Err(e) => {
                         let typed = typed_failure(&table, p, &addrs, e);
@@ -212,7 +212,7 @@ impl Coordinator {
                         // The in-band sentinel keeps Exchange's serial
                         // error position; the coordinator swaps in the
                         // typed ClusterError before the caller sees it.
-                        let _ = tx.send((
+                        let _ = tx.send(Partition::new(
                             p as u64,
                             Err(scc_core::Error::Frame(scc_core::frame::FrameError::Io(
                                 std::io::ErrorKind::NotConnected,

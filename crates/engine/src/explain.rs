@@ -54,7 +54,8 @@ impl OpProfile {
         }
     }
 
-    /// Sums two profiles (used when a plan runs in phases).
+    /// Sums two profiles (a plan that runs in phases, or in fragments on
+    /// several threads).
     pub fn merge(&mut self, other: &OpProfile) {
         self.calls += other.calls;
         self.vectors += other.vectors;
@@ -94,6 +95,15 @@ impl ExplainNode {
     /// and renders without counters.
     pub fn phases(label: impl Into<String>, phases: Vec<ExplainNode>) -> Self {
         Self::new(label, OpProfile::default(), phases)
+    }
+
+    /// Sums another run of the same plan shape into this tree, node by
+    /// node (the exchange folds its workers' fragment trees this way).
+    pub fn merge(&mut self, other: &ExplainNode) {
+        self.profile.merge(&other.profile);
+        for (mine, theirs) in self.children.iter_mut().zip(&other.children) {
+            mine.merge(theirs);
+        }
     }
 
     /// Compressed-domain accounting summed over the whole subtree:

@@ -1,9 +1,10 @@
 //! Exchange: merges partitioned producer threads back into one ordered
 //! vector stream.
 //!
-//! Producers (e.g. the parallel scan in `scc-storage`) run on their own
-//! threads and send `(sequence, Result<Vec<Batch>>)` pairs over a
-//! bounded channel; the exchange reorders them and emits batches in
+//! Producers (e.g. the scan workers in `scc-storage`) run on their own
+//! threads and send [`Partition`]s — a sequence number and the batches
+//! it covers, or the error that stopped it — over a bounded channel;
+//! the exchange reorders them and emits batches in
 //! strictly increasing sequence order. The consumer side therefore sees
 //! *exactly* the serial stream — same batch boundaries, same row order,
 //! and the same first error at the same point — regardless of worker
@@ -15,6 +16,11 @@
 //! sequence becomes next, then shuts the pipeline down (drops the
 //! receiver so producers unblock, joins the workers). Worker *panics*
 //! are propagated on join rather than silently truncating the stream.
+//!
+//! A producer that ran operators of its own (a scan, a pushed-down
+//! select) attaches that plan fragment's [`ExplainNode`] to each
+//! partition; the exchange sums the fragments and reports them as its
+//! child, so EXPLAIN sees the work done behind the channel.
 
 use crate::batch::Batch;
 use crate::explain::{ExplainNode, OpProfile};
@@ -24,9 +30,24 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::Receiver;
 use std::thread::JoinHandle;
 
-/// One partition's payload: its position in the serial order and the
-/// batches it produced (or the error that stopped it).
-pub type Partition = (u64, Result<Vec<Batch>, Error>);
+/// One partition's payload.
+#[derive(Debug)]
+pub struct Partition {
+    /// Position in the serial order.
+    pub seq: u64,
+    /// The batches it produced, or the error that stopped it.
+    pub result: Result<Vec<Batch>, Error>,
+    /// Explain tree of the plan fragment that produced it, if the
+    /// producer ran one.
+    pub fragment: Option<ExplainNode>,
+}
+
+impl Partition {
+    /// A partition with no fragment profile.
+    pub fn new(seq: u64, result: Result<Vec<Batch>, Error>) -> Self {
+        Self { seq, result, fragment: None }
+    }
+}
 
 /// The ordered-merge operator over partitioned producer threads.
 pub struct Exchange {
@@ -41,6 +62,8 @@ pub struct Exchange {
     total_seqs: u64,
     done: bool,
     profile: OpProfile,
+    /// Sum of the fragment trees received so far.
+    fragments: Option<ExplainNode>,
 }
 
 // Exchanges (and the plans built on them) can themselves move across
@@ -66,6 +89,7 @@ impl Exchange {
             total_seqs,
             done: false,
             profile: OpProfile::default(),
+            fragments: None,
         }
     }
 
@@ -115,8 +139,13 @@ impl Exchange {
             }
             let rx = self.rx.as_ref().expect("receiver alive while partitions outstanding");
             match rx.recv() {
-                Ok((seq, result)) => {
+                Ok(Partition { seq, result, fragment }) => {
                     self.pending.insert(seq, result);
+                    match (&mut self.fragments, fragment) {
+                        (Some(sum), Some(f)) => sum.merge(&f),
+                        (None, f) => self.fragments = f,
+                        (Some(_), None) => {}
+                    }
                 }
                 Err(_) => {
                     // Every sender hung up with partitions still owed:
@@ -151,7 +180,7 @@ impl Operator for Exchange {
     }
 
     fn explain(&self) -> ExplainNode {
-        ExplainNode::leaf(self.label(), self.profile)
+        ExplainNode::new(self.label(), self.profile, self.fragments.iter().cloned().collect())
     }
 }
 
@@ -176,9 +205,9 @@ mod tests {
     fn reorders_partitions_into_serial_order() {
         let (tx, rx) = sync_channel::<Partition>(8);
         // Deliver out of order: 2, 0, 1.
-        tx.send((2, Ok(vec![batch(vec![4])]))).unwrap();
-        tx.send((0, Ok(vec![batch(vec![0]), batch(vec![1])]))).unwrap();
-        tx.send((1, Ok(vec![]))).unwrap(); // an empty partition is fine
+        tx.send(Partition::new(2, Ok(vec![batch(vec![4])]))).unwrap();
+        tx.send(Partition::new(0, Ok(vec![batch(vec![0]), batch(vec![1])]))).unwrap();
+        tx.send(Partition::new(1, Ok(vec![]))).unwrap(); // an empty partition is fine
         drop(tx);
         let mut ex = Exchange::new(3, rx, Vec::new());
         let out = try_collect(&mut ex).unwrap();
@@ -189,10 +218,10 @@ mod tests {
     #[test]
     fn error_surfaces_at_its_serial_position() {
         let (tx, rx) = sync_channel::<Partition>(8);
-        tx.send((1, Err(Error::UnalignedRange { start: 7 }))).unwrap();
-        tx.send((0, Ok(vec![batch(vec![10])]))).unwrap();
+        tx.send(Partition::new(1, Err(Error::UnalignedRange { start: 7 }))).unwrap();
+        tx.send(Partition::new(0, Ok(vec![batch(vec![10])]))).unwrap();
         // Partition 2 succeeded elsewhere, but the stream must stop at 1.
-        tx.send((2, Ok(vec![batch(vec![99])]))).unwrap();
+        tx.send(Partition::new(2, Ok(vec![batch(vec![99])]))).unwrap();
         drop(tx);
         let mut ex = Exchange::new(3, rx, Vec::new());
         assert_eq!(ex.try_next().unwrap().unwrap().col(0).as_i64(), &[10]);
@@ -208,7 +237,7 @@ mod tests {
             .map(|seq| {
                 let tx = tx.clone();
                 std::thread::spawn(move || {
-                    tx.send((seq, Ok(vec![batch(vec![seq as i64])]))).unwrap();
+                    tx.send(Partition::new(seq, Ok(vec![batch(vec![seq as i64])]))).unwrap();
                 })
             })
             .collect();
@@ -226,7 +255,7 @@ mod tests {
             // The bounded channel fills; once the exchange drops the
             // receiver the pending send errors and the loop exits.
             for seq in 0..100u64 {
-                if tx.send((seq, Ok(vec![batch(vec![1])]))).is_err() {
+                if tx.send(Partition::new(seq, Ok(vec![batch(vec![1])]))).is_err() {
                     return;
                 }
             }

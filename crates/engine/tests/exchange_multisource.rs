@@ -55,7 +55,7 @@ fn multi_source_out_of_order_streams_merge_into_serial_order() {
                     own.reverse();
                     for seq in own {
                         std::thread::sleep(Duration::from_micros(mix(seed, seq) % 500));
-                        if tx.send((seq, Ok(partition_batches(seq)))).is_err() {
+                        if tx.send(Partition::new(seq, Ok(partition_batches(seq)))).is_err() {
                             return;
                         }
                     }
@@ -80,7 +80,11 @@ fn error_from_one_source_surfaces_at_its_serial_position_not_its_arrival_time() 
     let failer = {
         let tx = tx.clone();
         std::thread::spawn(move || {
-            tx.send((FAIL_SEQ, Err(Error::ReadFailed { chunk: (7, 7, 0), attempts: 3 }))).unwrap();
+            tx.send(Partition::new(
+                FAIL_SEQ,
+                Err(Error::ReadFailed { chunk: (7, 7, 0), attempts: 3 }),
+            ))
+            .unwrap();
         })
     };
     failer.join().unwrap(); // error is en route before any data
@@ -90,7 +94,7 @@ fn error_from_one_source_surfaces_at_its_serial_position_not_its_arrival_time() 
             std::thread::spawn(move || {
                 for seq in (w..TOTAL).step_by(2).filter(|&s| s != FAIL_SEQ) {
                     std::thread::sleep(Duration::from_micros(mix(9, seq) % 300));
-                    if tx.send((seq, Ok(partition_batches(seq)))).is_err() {
+                    if tx.send(Partition::new(seq, Ok(partition_batches(seq)))).is_err() {
                         return;
                     }
                 }
@@ -127,7 +131,7 @@ fn slow_source_stalls_but_never_reorders() {
                     if w == 0 {
                         std::thread::sleep(Duration::from_millis(20));
                     }
-                    if tx.send((seq, Ok(partition_batches(seq)))).is_err() {
+                    if tx.send(Partition::new(seq, Ok(partition_batches(seq)))).is_err() {
                         return;
                     }
                 }

@@ -12,9 +12,10 @@
 //!   the paper's RAM–CPU boundary stretched across the network, so
 //!   the cheap-to-decompress representation is also the one that
 //!   travels.
-//! * **Scan** — a full-column scan, optionally filtered and decoded by
-//!   multiple server threads ([`scc_storage::ParallelScan`]),
-//!   streamed back one engine vector per frame.
+//! * **Scan** — a full-column scan, optionally filtered (in code
+//!   space, where the segments allow) and run on multiple server
+//!   threads ([`scc_storage::Scan::into_plan`]), streamed back one
+//!   engine vector per frame.
 //! * **Stats** — the `scc-obs` registry as schema-v1 JSON.
 //!
 //! Every frame in both directions is CRC32C-checksummed

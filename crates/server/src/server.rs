@@ -41,9 +41,9 @@ use crate::protocol::{
 use crate::Catalog;
 use scc_core::frame::{self, FrameError};
 use scc_core::{type_literal, Error, TypedLit};
-use scc_engine::{ColType, Expr, Operator, Select, VECTOR_SIZE};
+use scc_engine::{ColType, Expr, Operator, VECTOR_SIZE};
 use scc_obs::trace;
-use scc_storage::{stats_handle, Column, NumColumn, ParallelScan, Scan, ScanOptions, Table};
+use scc_storage::{stats_handle, Column, NumColumn, Scan, ScanOptions, Table};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
@@ -430,16 +430,7 @@ impl Shared {
         let opts = ScanOptions { vector_size, ..ScanOptions::default() };
         let col_refs: Vec<&str> = columns.iter().map(|c| c.as_str()).collect();
         let threads = (threads as usize).clamp(1, self.config.max_scan_threads.max(1));
-        let t = Arc::clone(t);
-        let mut op: Box<dyn Operator> = if threads > 1 {
-            Box::new(ParallelScan::new(t, &col_refs, opts, stats_handle(), None, threads))
-        } else {
-            Box::new(Scan::new(t, &col_refs, opts, stats_handle(), None))
-        };
-        if let Some(expr) = expr {
-            op = Box::new(Select::new(op, expr));
-        }
-        Ok(op)
+        Ok(Scan::new(Arc::clone(t), &col_refs, opts, stats_handle(), None).into_plan(expr, threads))
     }
 }
 

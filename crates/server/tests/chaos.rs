@@ -104,6 +104,7 @@ fn torn_request_frames_at_every_offset_never_misparse() {
     let mut clean = RetryingClient::new(&addr, RetryPolicy::default(), None, 1);
     let v = clean.segment_range("demo", "key", 100, 16, false).expect("post-sweep request");
     assert_eq!(v.as_i64(), &(100..116).collect::<Vec<i64>>()[..]);
+    drop(clean); // a stopping server waits out idle connections
     drop(server);
 }
 
@@ -282,6 +283,7 @@ fn health_reports_ready_with_pool_shape() {
     assert_eq!(state, HealthState::Ready);
     assert_eq!(workers, 3);
     assert!(active >= 1, "the probing connection itself is active");
+    drop(client); // a stopping server waits out idle connections
     drop(server);
 }
 

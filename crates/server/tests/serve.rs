@@ -123,6 +123,7 @@ fn zero_deadline_yields_typed_timeout() {
     }
     // Stats has no data path and is exempt from the deadline.
     assert!(client.stats_json().is_ok());
+    drop(client); // a stopping server waits out idle connections
     drop(server);
 }
 
@@ -208,22 +209,28 @@ fn out_of_domain_literals_fold_instead_of_truncating() {
     // gives the mathematically correct answer: everything is < 5e9,
     // nothing is > 5e9.
     let wide: i64 = 5_000_000_000;
-    for (op, want) in [
-        (PredOp::Lt, ROWS as u64),
-        (PredOp::Le, ROWS as u64),
-        (PredOp::Ne, ROWS as u64),
-        (PredOp::Gt, 0),
-        (PredOp::Ge, 0),
-        (PredOp::Eq, 0),
+    // One in-domain, selective literal rides along: the same path must
+    // also count ordinary survivors right.
+    let (_, vals, _) = scc_server::demo_columns(ROWS);
+    let selective = vals.iter().filter(|&&v| v < 7).count() as u64;
+    assert!(selective > 0 && selective < ROWS as u64 / 50);
+    for (op, literal, want) in [
+        (PredOp::Lt, wide, ROWS as u64),
+        (PredOp::Le, wide, ROWS as u64),
+        (PredOp::Ne, wide, ROWS as u64),
+        (PredOp::Gt, wide, 0),
+        (PredOp::Ge, wide, 0),
+        (PredOp::Eq, wide, 0),
+        (PredOp::Lt, 7, selective),
     ] {
-        // threads=1 exercises the compressed-domain pushdown path,
-        // threads=2 the worker-side decode-then-test path; both must
-        // agree with the folded semantics.
+        // Both thread counts take the compressed-domain pushdown path
+        // (threads=2 on the scan workers); both must agree with the
+        // folded semantics.
         for threads in [1u8, 2] {
-            let pred = Predicate { column: "val".into(), op, literal: wide };
+            let pred = Predicate { column: "val".into(), op, literal };
             let (_, rows) =
                 client.scan("demo", &["key", "val"], Some(pred), threads).expect("scan");
-            assert_eq!(rows, want, "val {op:?} {wide} threads={threads}");
+            assert_eq!(rows, want, "val {op:?} {literal} threads={threads}");
         }
     }
 
@@ -245,6 +252,7 @@ fn out_of_domain_literals_fold_instead_of_truncating() {
             assert_eq!(rows, want, "flag {op:?} -1 threads={threads}");
         }
     }
+    drop(client); // a stopping server waits out idle connections
     drop(server);
 }
 
@@ -274,6 +282,7 @@ fn raw_requests_fall_back_to_values_for_plain_storage() {
     let mut client = Client::connect(&addr).expect("connect");
     let got = client.segment_range("noise", "v", 900, 300, true).expect("fallback");
     assert_eq!(got.as_i64(), &noise[900..1200]);
+    drop(client); // a stopping server waits out idle connections
     drop(server);
 }
 
@@ -306,6 +315,7 @@ fn stats_snapshot_is_valid_schema_v1_with_server_metrics() {
             "missing histogram {required}"
         );
     }
+    drop(client); // a stopping server waits out idle connections
     drop(server);
 }
 
@@ -337,6 +347,7 @@ fn hello_handshake_reports_version_and_capabilities() {
     // The connection stays usable for data requests after the handshake.
     let v = client.segment_range("demo", "key", 0, 4, false).expect("post-hello request");
     assert_eq!(v, scc_engine::Vector::I64(vec![0, 1, 2, 3]));
+    drop(client); // a stopping server waits out idle connections
     drop(server);
 }
 
@@ -370,6 +381,7 @@ fn failover_client_flips_to_replica_on_refused_dial_without_sleeping() {
         t0.elapsed()
     );
     assert_eq!(client.retries, 0, "free rotation is not a slept retry");
+    drop(client); // a stopping server waits out idle connections
     drop(server);
 }
 

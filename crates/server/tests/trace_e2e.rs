@@ -84,6 +84,7 @@ fn one_scan_request_yields_one_connected_trace_with_segment_spans() {
     let (batch, rows) = client.scan("demo", &["key", "val"], None, 2).expect("scan");
     assert_eq!(rows, 20_000);
     assert_eq!(batch.len(), 20_000);
+    drop(client); // a stopping server waits out idle connections
     server.stop();
 
     let spans = trace::drain();
@@ -160,6 +161,7 @@ fn retries_appear_as_sibling_attempt_spans() {
         }
     });
     assert_eq!(result.unwrap(), 42);
+    drop(client); // a stopping server waits out idle connections
     server.stop();
 
     let spans = trace::drain();
@@ -214,5 +216,6 @@ fn untraced_clients_leave_no_server_spans_and_health_windows_converge() {
     assert!(w.p50_us <= w.p95_us && w.p95_us <= w.p99_us, "{w:?}");
     assert!(w.rps_x100 > 0, "windowed rate is live");
     assert_eq!(w.shed_per_s_x100, 0, "nothing shed");
+    drop((client, probe)); // a stopping server waits out idle connections
     server.stop();
 }

@@ -18,7 +18,9 @@
 
 use crate::pool::ChunkId;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// A bandwidth-modeled disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -227,22 +229,22 @@ impl RetryPolicy {
     }
 }
 
-/// Counters accumulated by a scan.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ScanStats {
+/// A point-in-time copy of a scan ledger: plain values for readers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanSnapshot {
     /// Bytes charged against the disk (buffer-pool misses only).
     pub io_bytes: u64,
-    /// Modeled I/O seconds for those bytes.
-    pub io_seconds: f64,
-    /// Measured wall seconds spent inside decompression kernels.
-    pub decompress_seconds: f64,
+    /// Modeled I/O nanoseconds for those bytes.
+    pub io_ns: u64,
+    /// Measured wall nanoseconds spent inside decompression kernels.
+    pub decompress_ns: u64,
     /// Bytes of decompressed data handed to the query engine.
     pub output_bytes: u64,
     /// RAM traffic in bytes: compressed reads plus, in page-wise mode,
     /// the full decompressed page written back and re-read (the Figure 7
     /// effect).
     pub ram_traffic_bytes: u64,
-    /// Buffer-pool hits/misses.
+    /// Buffer-pool hits.
     pub pool_hits: u64,
     /// Buffer-pool misses.
     pub pool_misses: u64,
@@ -254,53 +256,33 @@ pub struct ScanStats {
     pub quarantined_chunks: u64,
 }
 
-impl ScanStats {
-    /// Takes the accumulated counters, leaving zeros behind. Benches
-    /// that reuse one [`StatsHandle`] across timed runs call
-    /// `stats.lock().unwrap().take()` at the start of each run so every
-    /// run observes a true per-run delta instead of a running total.
-    pub fn take(&mut self) -> ScanStats {
-        std::mem::take(self)
+impl ScanSnapshot {
+    /// Modeled I/O seconds.
+    pub fn io_seconds(&self) -> f64 {
+        self.io_ns as f64 / 1e9
     }
 
-    /// A point-in-time copy of the counters (reads through a
-    /// [`StatsHandle`] without disturbing the accumulation).
-    pub fn snapshot(&self) -> ScanStats {
-        *self
-    }
-
-    /// Folds another stats block into this one. Parallel scans give
-    /// each worker its own [`StatsHandle`] and merge them at the end
-    /// instead of contending on one shared lock inside the hot loop.
-    pub fn merge(&mut self, other: &ScanStats) {
-        self.io_bytes += other.io_bytes;
-        self.io_seconds += other.io_seconds;
-        self.decompress_seconds += other.decompress_seconds;
-        self.output_bytes += other.output_bytes;
-        self.ram_traffic_bytes += other.ram_traffic_bytes;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.retries += other.retries;
-        self.checksum_failures += other.checksum_failures;
-        self.quarantined_chunks += other.quarantined_chunks;
+    /// Measured decompression seconds.
+    pub fn decompress_seconds(&self) -> f64 {
+        self.decompress_ns as f64 / 1e9
     }
 
     /// I/O stall seconds given measured CPU seconds, under prefetching.
     pub fn stall_seconds(&self, cpu_seconds: f64) -> f64 {
-        (self.io_seconds - cpu_seconds).max(0.0)
+        (self.io_seconds() - cpu_seconds).max(0.0)
     }
 
     /// Effective decompression bandwidth in bytes/s of output.
     pub fn decompression_bandwidth(&self) -> f64 {
-        if self.decompress_seconds == 0.0 {
+        if self.decompress_ns == 0 {
             f64::INFINITY
         } else {
-            self.output_bytes as f64 / self.decompress_seconds
+            self.output_bytes as f64 / self.decompress_seconds()
         }
     }
 }
 
-impl std::fmt::Display for ScanStats {
+impl std::fmt::Display for ScanSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         const MIB: f64 = 1024.0 * 1024.0;
         write!(
@@ -308,8 +290,8 @@ impl std::fmt::Display for ScanStats {
             "io {:.2} MiB / {:.4}s, decompress {:.4}s, output {:.2} MiB, \
              ram {:.2} MiB, pool {}/{} hit/miss",
             self.io_bytes as f64 / MIB,
-            self.io_seconds,
-            self.decompress_seconds,
+            self.io_seconds(),
+            self.decompress_seconds(),
             self.output_bytes as f64 / MIB,
             self.ram_traffic_bytes as f64 / MIB,
             self.pool_hits,
@@ -326,22 +308,122 @@ impl std::fmt::Display for ScanStats {
     }
 }
 
+/// The scan ledger: every accounting event of a scan is booked here
+/// exactly once, by whichever thread does the work — the scan entering
+/// a segment, a parallel worker, or a lazy [`crate::SegmentHandle`]
+/// decoding on the consumer. Relaxed atomics suffice: each cell is an
+/// independent statistic that publishes no other data. The `charge_*`
+/// methods are also the only writers of the `storage.scan.*` registry
+/// counters.
+#[derive(Debug, Default)]
+pub struct ScanStats {
+    io_bytes: AtomicU64,
+    io_ns: AtomicU64,
+    decompress_ns: AtomicU64,
+    output_bytes: AtomicU64,
+    ram_traffic_bytes: AtomicU64,
+    pool_hits: AtomicU64,
+    pool_misses: AtomicU64,
+    retries: AtomicU64,
+    checksum_failures: AtomicU64,
+    quarantined_chunks: AtomicU64,
+}
+
+/// Books `$n` into a ledger cell and its `storage.scan.*` counter.
+macro_rules! book {
+    ($cell:expr, $counter:literal, $n:expr) => {{
+        let n: u64 = $n;
+        $cell.fetch_add(n, Relaxed);
+        scc_obs::counter_add!($counter, n);
+    }};
+}
+
+impl ScanStats {
+    /// Chunk bytes streamed through RAM (or a page written and re-read).
+    pub fn charge_ram_traffic(&self, bytes: u64) {
+        book!(self.ram_traffic_bytes, "storage.scan.ram_traffic_bytes", bytes);
+    }
+
+    /// One chunk access answered by the buffer pool (`hit`) or not. The
+    /// pool books its own `storage.pool.*` counters.
+    pub fn charge_pool_access(&self, hit: bool) {
+        let cell = if hit { &self.pool_hits } else { &self.pool_misses };
+        cell.fetch_add(1, Relaxed);
+    }
+
+    /// One read attempt of `bytes` costing `seconds` of modeled I/O.
+    pub fn charge_io(&self, bytes: u64, seconds: f64) {
+        book!(self.io_bytes, "storage.scan.io_bytes", bytes);
+        book!(self.io_ns, "storage.scan.io_ns", (seconds * 1e9) as u64);
+    }
+
+    /// One re-read attempt beyond a chunk's first.
+    pub fn charge_retry(&self) {
+        book!(self.retries, "storage.scan.retries", 1);
+    }
+
+    /// One delivery rejected by its wire checksums.
+    pub fn charge_checksum_failure(&self) {
+        book!(self.checksum_failures, "storage.scan.checksum_failures", 1);
+    }
+
+    /// One chunk quarantined after exhausting its retry budget.
+    pub fn charge_quarantine(&self) {
+        book!(self.quarantined_chunks, "storage.scan.quarantined_chunks", 1);
+    }
+
+    /// Wall time spent inside a decompression kernel.
+    pub fn charge_decompress(&self, elapsed: Duration) {
+        book!(self.decompress_ns, "storage.scan.decompress_ns", elapsed.as_nanos() as u64);
+    }
+
+    /// Bytes delivered into output vectors.
+    pub fn charge_output(&self, bytes: u64) {
+        book!(self.output_bytes, "storage.scan.output_bytes", bytes);
+    }
+
+    fn read(&self, cell: impl Fn(&AtomicU64) -> u64) -> ScanSnapshot {
+        ScanSnapshot {
+            io_bytes: cell(&self.io_bytes),
+            io_ns: cell(&self.io_ns),
+            decompress_ns: cell(&self.decompress_ns),
+            output_bytes: cell(&self.output_bytes),
+            ram_traffic_bytes: cell(&self.ram_traffic_bytes),
+            pool_hits: cell(&self.pool_hits),
+            pool_misses: cell(&self.pool_misses),
+            retries: cell(&self.retries),
+            checksum_failures: cell(&self.checksum_failures),
+            quarantined_chunks: cell(&self.quarantined_chunks),
+        }
+    }
+
+    /// A point-in-time copy of the counters.
+    pub fn snapshot(&self) -> ScanSnapshot {
+        self.read(|c| c.load(Relaxed))
+    }
+
+    /// Takes the accumulated counters, leaving zeros behind. Benches
+    /// that reuse one [`StatsHandle`] across timed runs call this at the
+    /// end of each run so every run observes a true per-run delta
+    /// instead of a running total.
+    pub fn take(&self) -> ScanSnapshot {
+        self.read(|c| c.swap(0, Relaxed))
+    }
+}
+
 /// Shared handle to a fault-injecting disk. `Send` is part of the
 /// trait-object type so scans holding the handle can move to worker
 /// threads; the mutex keeps the quarantine set and fault draws
 /// consistent across concurrent scans of the same disk.
 pub type DiskHandle = std::sync::Arc<Mutex<dyn DiskRead + Send>>;
 
-/// Shared mutable handle to a scan's stats. `Arc<Mutex<_>>` so scans —
-/// and the operators holding the other end of the handle — are `Send`
-/// and can run on worker threads; parallel scans still keep a private
-/// handle per worker and [`ScanStats::merge`] the results, so the lock
-/// is uncontended in practice.
-pub type StatsHandle = Arc<Mutex<ScanStats>>;
+/// Shared handle to a scan ledger; cloned into every worker and lazy
+/// column handle that does work on the scan's behalf.
+pub type StatsHandle = Arc<ScanStats>;
 
 /// Creates a fresh stats handle.
 pub fn stats_handle() -> StatsHandle {
-    Arc::new(Mutex::new(ScanStats::default()))
+    Arc::default()
 }
 
 #[cfg(test)]
@@ -358,14 +440,14 @@ mod tests {
 
     #[test]
     fn stall_is_clamped_at_zero() {
-        let stats = ScanStats { io_seconds: 1.0, ..Default::default() };
+        let stats = ScanSnapshot { io_ns: 1_000_000_000, ..Default::default() };
         assert_eq!(stats.stall_seconds(2.0), 0.0);
         assert_eq!(stats.stall_seconds(0.25), 0.75);
     }
 
     #[test]
     fn decompression_bandwidth_handles_zero_time() {
-        let stats = ScanStats::default();
+        let stats = ScanSnapshot::default();
         assert!(stats.decompression_bandwidth().is_infinite());
     }
 
@@ -429,15 +511,30 @@ mod tests {
         assert_eq!(d.quarantined_chunks(), 1);
     }
 
-    fn sample_stats(scale: u64) -> ScanStats {
-        ScanStats {
+    /// Charges every event once per unit of `scale`.
+    fn charge_all(ledger: &ScanStats, scale: u64) {
+        for _ in 0..scale {
+            ledger.charge_ram_traffic(150);
+            ledger.charge_pool_access(true);
+            ledger.charge_pool_access(false);
+            ledger.charge_io(100, 0.5);
+            ledger.charge_retry();
+            ledger.charge_checksum_failure();
+            ledger.charge_quarantine();
+            ledger.charge_decompress(Duration::from_millis(250));
+            ledger.charge_output(400);
+        }
+    }
+
+    fn sample_snapshot(scale: u64) -> ScanSnapshot {
+        ScanSnapshot {
             io_bytes: 100 * scale,
-            io_seconds: 0.5 * scale as f64,
-            decompress_seconds: 0.25 * scale as f64,
+            io_ns: 500_000_000 * scale,
+            decompress_ns: 250_000_000 * scale,
             output_bytes: 400 * scale,
             ram_traffic_bytes: 150 * scale,
-            pool_hits: 3 * scale,
-            pool_misses: 2 * scale,
+            pool_hits: scale,
+            pool_misses: scale,
             retries: scale,
             checksum_failures: scale,
             quarantined_chunks: scale,
@@ -445,40 +542,44 @@ mod tests {
     }
 
     #[test]
+    fn every_charge_lands_in_its_own_cell() {
+        let handle = stats_handle();
+        charge_all(&handle, 2);
+        assert_eq!(handle.snapshot(), sample_snapshot(2));
+        // A snapshot does not disturb the accumulation.
+        assert_eq!(handle.snapshot(), sample_snapshot(2));
+    }
+
+    #[test]
     fn take_resets_and_returns_delta() {
         let handle = stats_handle();
-        *handle.lock().unwrap() = sample_stats(2);
-        let delta = handle.lock().unwrap().take();
-        assert_eq!(delta, sample_stats(2));
-        assert_eq!(*handle.lock().unwrap(), ScanStats::default());
+        charge_all(&handle, 2);
+        assert_eq!(handle.take(), sample_snapshot(2));
+        assert_eq!(handle.snapshot(), ScanSnapshot::default());
         // A second take observes only what accumulated since.
-        handle.lock().unwrap().io_bytes = 7;
-        assert_eq!(handle.lock().unwrap().take().io_bytes, 7);
+        handle.charge_io(7, 0.0);
+        assert_eq!(handle.take().io_bytes, 7);
     }
 
     #[test]
-    fn snapshot_does_not_disturb() {
+    fn one_ledger_sums_charges_from_many_threads() {
         let handle = stats_handle();
-        *handle.lock().unwrap() = sample_stats(1);
-        let snap = handle.lock().unwrap().snapshot();
-        assert_eq!(snap, sample_stats(1));
-        assert_eq!(*handle.lock().unwrap(), sample_stats(1));
-    }
-
-    #[test]
-    fn merge_sums_every_field() {
-        let mut a = sample_stats(1);
-        a.merge(&sample_stats(2));
-        assert_eq!(a, sample_stats(3));
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| charge_all(&handle, 250));
+            }
+        });
+        assert_eq!(handle.snapshot(), sample_snapshot(1000));
     }
 
     #[test]
     fn display_is_compact_and_gates_fault_counters() {
-        let clean = ScanStats { io_bytes: 1024 * 1024, io_seconds: 0.5, ..Default::default() };
+        let clean =
+            ScanSnapshot { io_bytes: 1024 * 1024, io_ns: 500_000_000, ..Default::default() };
         let text = format!("{clean}");
         assert!(text.contains("io 1.00 MiB / 0.5000s"), "{text}");
         assert!(!text.contains("retries"), "{text}");
-        let faulted = ScanStats { retries: 2, checksum_failures: 1, ..Default::default() };
+        let faulted = ScanSnapshot { retries: 2, checksum_failures: 1, ..Default::default() };
         let text = format!("{faulted}");
         assert!(text.contains("retries 2, checksum failures 1, quarantined 0"), "{text}");
     }

@@ -10,17 +10,20 @@
 //! rows ([`SegmentHandle::gather`], block-granular).
 //!
 //! Decompression cost is charged to the scan's [`StatsHandle`] at the
-//! moment it happens, so `decompress_seconds`/`output_bytes` keep
-//! meaning "values actually decoded" whether the scan is eager or
-//! lazy. Chunk I/O is *not* charged here — the scan charged it when it
-//! entered the segment, and skipping decode never skips the read of
-//! the compressed bytes.
+//! moment it happens and on whichever thread it happens, so
+//! `decompress_ns`/`output_bytes` keep meaning "values actually
+//! decoded" whether the scan materializes at once (a handle is also how
+//! [`crate::Scan`] decodes eagerly), a `Select` decodes survivors, or a
+//! parallel worker does either. Chunk I/O is *not* charged here — the
+//! scan charged it when it entered the segment, and skipping decode
+//! never skips the read of the compressed bytes.
 
 use crate::column::{Column, ColumnStore, NumColumn, StoredSegment};
 use crate::disk::StatsHandle;
 use crate::table::Table;
 use scc_core::{type_literal, Error, TypedLit, Value, ValuePred, BLOCK};
 use scc_engine::{CodeCol, ColType, PushPred, Vector};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,13 +35,29 @@ pub struct SegmentHandle {
     col: usize,
     seg: usize,
     stats: StatsHandle,
+    /// Values decoded through this handle so far, wherever that
+    /// happened; the scan's per-segment trace span reports it.
+    decoded: AtomicU64,
 }
 
 impl SegmentHandle {
     /// Builds a handle for segment `seg` of column `col` (a table
     /// column index), charging decode work to `stats`.
     pub fn new(table: Arc<Table>, col: usize, seg: usize, stats: StatsHandle) -> Self {
-        Self { table, col, seg, stats }
+        Self { table, col, seg, stats, decoded: AtomicU64::new(0) }
+    }
+
+    /// Values decoded through this handle so far.
+    pub(crate) fn values_decoded(&self) -> u64 {
+        self.decoded.load(Relaxed)
+    }
+
+    /// Books one decode: its wall time, the values it decoded and the
+    /// bytes it delivered into output vectors.
+    fn charge_decode(&self, t0: Instant, values: u64, produced: u64) {
+        self.stats.charge_decompress(t0.elapsed());
+        self.stats.charge_output(produced);
+        self.decoded.fetch_add(values, Relaxed);
     }
 
     fn column(&self) -> &Column {
@@ -100,26 +119,25 @@ fn select_typed<V: Value>(
 }
 
 fn materialize_typed<V: Value>(
+    handle: &SegmentHandle,
     store: &ColumnStore<V>,
-    seg: usize,
     offset: usize,
     len: usize,
-    stats: &StatsHandle,
 ) -> Result<Vec<V>, Error> {
     let mut out = vec![V::default(); len];
     let t0 = Instant::now();
-    store.try_decode_segment_range(seg, offset, &mut out)?;
-    charge_decode(stats, t0, (len * V::byte_width()) as u64);
+    store.try_decode_segment_range(handle.seg, offset, &mut out)?;
+    handle.charge_decode(t0, len as u64, (len * V::byte_width()) as u64);
     Ok(out)
 }
 
 fn gather_typed<V: Value>(
+    handle: &SegmentHandle,
     store: &ColumnStore<V>,
-    seg: usize,
     offset: usize,
     rows: &[usize],
-    stats: &StatsHandle,
 ) -> Result<(Vec<V>, u64), Error> {
+    let seg = handle.seg;
     let seg_len = rows_in_segment(store, seg);
     let mut out = Vec::with_capacity(rows.len());
     let mut buf = [V::default(); BLOCK];
@@ -138,19 +156,8 @@ fn gather_typed<V: Value>(
         }
         out.push(buf[pos % BLOCK]);
     }
-    charge_decode(stats, t0, (rows.len() * V::byte_width()) as u64);
+    handle.charge_decode(t0, decoded, (rows.len() * V::byte_width()) as u64);
     Ok((out, decoded))
-}
-
-/// Books decode time and the bytes delivered into output vectors.
-fn charge_decode(stats: &StatsHandle, t0: Instant, produced: u64) {
-    let dt = t0.elapsed();
-    let mut st = stats.lock().unwrap();
-    st.decompress_seconds += dt.as_secs_f64();
-    st.output_bytes += produced;
-    drop(st);
-    scc_obs::counter_add!("storage.scan.decompress_ns", dt.as_nanos() as u64);
-    scc_obs::counter_add!("storage.scan.output_bytes", produced);
 }
 
 impl CodeCol for SegmentHandle {
@@ -174,39 +181,31 @@ impl CodeCol for SegmentHandle {
     }
 
     fn materialize(&self, offset: usize, len: usize) -> Result<Vector, Error> {
-        let (seg, st) = (self.seg, &self.stats);
         Ok(match self.column() {
-            Column::Num(NumColumn::I32(s)) => {
-                Vector::I32(materialize_typed(s, seg, offset, len, st)?)
-            }
-            Column::Num(NumColumn::I64(s)) => {
-                Vector::I64(materialize_typed(s, seg, offset, len, st)?)
-            }
-            Column::Num(NumColumn::U32(s)) => {
-                Vector::U32(materialize_typed(s, seg, offset, len, st)?)
-            }
-            Column::Str(sc) => Vector::U32(materialize_typed(&sc.codes, seg, offset, len, st)?),
+            Column::Num(NumColumn::I32(s)) => Vector::I32(materialize_typed(self, s, offset, len)?),
+            Column::Num(NumColumn::I64(s)) => Vector::I64(materialize_typed(self, s, offset, len)?),
+            Column::Num(NumColumn::U32(s)) => Vector::U32(materialize_typed(self, s, offset, len)?),
+            Column::Str(sc) => Vector::U32(materialize_typed(self, &sc.codes, offset, len)?),
             Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
         })
     }
 
     fn gather(&self, offset: usize, rows: &[usize]) -> Result<(Vector, u64), Error> {
-        let (seg, st) = (self.seg, &self.stats);
         Ok(match self.column() {
             Column::Num(NumColumn::I32(s)) => {
-                let (v, d) = gather_typed(s, seg, offset, rows, st)?;
+                let (v, d) = gather_typed(self, s, offset, rows)?;
                 (Vector::I32(v), d)
             }
             Column::Num(NumColumn::I64(s)) => {
-                let (v, d) = gather_typed(s, seg, offset, rows, st)?;
+                let (v, d) = gather_typed(self, s, offset, rows)?;
                 (Vector::I64(v), d)
             }
             Column::Num(NumColumn::U32(s)) => {
-                let (v, d) = gather_typed(s, seg, offset, rows, st)?;
+                let (v, d) = gather_typed(self, s, offset, rows)?;
                 (Vector::U32(v), d)
             }
             Column::Str(sc) => {
-                let (v, d) = gather_typed(&sc.codes, seg, offset, rows, st)?;
+                let (v, d) = gather_typed(self, &sc.codes, offset, rows)?;
                 (Vector::U32(v), d)
             }
             Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
@@ -292,9 +291,7 @@ mod tests {
         assert_eq!(decoded, 256);
         let Vector::I64(v) = v else { panic!("i64") };
         assert_eq!(v, vec![2 * 2048 + 3, 2 * 2048 + 4, 2 * 2048 + 700]);
-        let s = stats.lock().unwrap();
-        assert_eq!(s.output_bytes, 3 * 8, "charged for delivered rows");
-        assert!(s.decompress_seconds >= 0.0);
+        assert_eq!(stats.snapshot().output_bytes, 3 * 8, "charged for delivered rows");
     }
 
     #[test]

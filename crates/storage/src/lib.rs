@@ -21,10 +21,10 @@
 //! compressed segment into a cache-resident vector. The *page-wise* mode
 //! (decompress a whole segment into RAM first, then read vectors from it)
 //! exists to reproduce the paper's Figure 7 / Table 3 comparison.
-//! [`ParallelScan`] fans the same scan out across worker threads —
-//! morsel-stealing over segment ids — and merges the partitions back
-//! into exact serial order through `scc_engine`'s `Exchange` (§6
-//! outlook; DESIGN.md §8).
+//! [`Scan::into_plan`] pushes the caller's predicate down onto the scan
+//! and, given more than one thread, runs that fragment per segment on
+//! workers whose output `scc_engine`'s `Exchange` puts back into exact
+//! serial order (§6 outlook; DESIGN.md §8).
 
 #![warn(missing_docs)]
 
@@ -33,7 +33,6 @@ pub mod delta;
 pub mod disk;
 pub mod lazy;
 pub mod manifest;
-pub mod parallel;
 pub mod pool;
 pub mod scan;
 pub mod table;
@@ -42,11 +41,10 @@ pub use column::{Column, ColumnStore, Compression, NumColumn, StoredSegment, Str
 pub use delta::{materialize, Cell, MergingScan, TableDeltas};
 pub use disk::{
     stats_handle, Disk, DiskHandle, DiskRead, FaultPlan, FaultyDisk, ReadOutcome, RetryPolicy,
-    ScanStats, StatsHandle,
+    ScanSnapshot, ScanStats, StatsHandle,
 };
 pub use lazy::SegmentHandle;
 pub use manifest::{hash_partition, partition_name, partition_table, PartitionManifest};
-pub use parallel::ParallelScan;
 pub use pool::{pool_handle, BufferPool, ChunkId, PoolHandle};
 pub use scan::{DecompressionGranularity, Scan, ScanMode, ScanOptions};
 pub use table::{Layout, Table, TableBuilder};

@@ -3,11 +3,11 @@
 //! queries.
 
 use crate::gen::RawTables;
-use scc_engine::{Batch, ExplainNode};
-use scc_storage::disk::{stats_handle, ScanStats, StatsHandle};
+use scc_engine::{Batch, ExplainNode, Expr, Operator};
+use scc_storage::disk::{stats_handle, ScanSnapshot, StatsHandle};
 use scc_storage::{
-    DecompressionGranularity, Disk, Layout, ParallelScan, PoolHandle, Scan, ScanMode, ScanOptions,
-    Table, TableBuilder,
+    DecompressionGranularity, Disk, Layout, PoolHandle, Scan, ScanMode, ScanOptions, Table,
+    TableBuilder,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -160,9 +160,10 @@ pub struct QueryConfig {
     pub vector_size: usize,
     /// Optional shared buffer pool.
     pub pool: Option<PoolHandle>,
-    /// Scan worker threads. `1` runs the serial [`Scan`]; higher counts
-    /// run every table scan as a [`ParallelScan`] over that many
-    /// workers (the rest of the pipeline stays on the calling thread).
+    /// Scan worker threads. `1` scans on the calling thread; higher
+    /// counts run every table scan — and the predicate pushed onto it —
+    /// per segment on that many workers (see [`Scan::into_plan`]; the
+    /// rest of the pipeline stays on the calling thread).
     pub threads: usize,
     /// Compressed-domain predicate pushdown: scans emit codes and
     /// `Select` filters before decompression (see
@@ -194,7 +195,20 @@ impl QueryConfig {
         table: &Arc<Table>,
         cols: &[&str],
         stats: &StatsHandle,
-    ) -> Box<dyn scc_engine::Operator> {
+    ) -> Box<dyn Operator> {
+        self.scan_where(table, cols, None, stats)
+    }
+
+    /// [`Self::scan`] with `predicate` (over the scan's output columns)
+    /// pushed down onto it: the plan every query's scan-then-filter
+    /// step builds, serial or threaded.
+    pub fn scan_where(
+        &self,
+        table: &Arc<Table>,
+        cols: &[&str],
+        predicate: Option<Expr>,
+        stats: &StatsHandle,
+    ) -> Box<dyn Operator> {
         let opts = ScanOptions {
             mode: self.mode,
             granularity: self.granularity,
@@ -203,18 +217,8 @@ impl QueryConfig {
             layout: self.layout,
             code_scan: self.code_scan,
         };
-        if self.threads > 1 {
-            Box::new(ParallelScan::new(
-                Arc::clone(table),
-                cols,
-                opts,
-                Arc::clone(stats),
-                self.pool.clone(),
-                self.threads,
-            ))
-        } else {
-            Box::new(Scan::new(Arc::clone(table), cols, opts, Arc::clone(stats), self.pool.clone()))
-        }
+        Scan::new(Arc::clone(table), cols, opts, Arc::clone(stats), self.pool.clone())
+            .into_plan(predicate, self.threads)
     }
 }
 
@@ -223,7 +227,7 @@ pub struct QueryRun {
     /// The result rows.
     pub batch: Batch,
     /// Accumulated scan counters (I/O, decompression).
-    pub stats: ScanStats,
+    pub stats: ScanSnapshot,
     /// Measured wall-clock CPU seconds (simulated I/O does not sleep, so
     /// this is pure compute: decompression + processing).
     pub cpu_seconds: f64,
@@ -241,7 +245,7 @@ impl QueryRun {
 
     /// Processing seconds excluding decompression.
     pub fn processing_seconds(&self) -> f64 {
-        (self.cpu_seconds - self.stats.decompress_seconds).max(0.0)
+        (self.cpu_seconds - self.stats.decompress_seconds()).max(0.0)
     }
 }
 
@@ -252,14 +256,13 @@ pub fn run_query(f: impl FnOnce(&StatsHandle) -> (Batch, ExplainNode)) -> QueryR
     let t0 = Instant::now();
     let (batch, explain) = f(&stats);
     let cpu_seconds = t0.elapsed().as_secs_f64();
-    let stats = *stats.lock().unwrap();
+    let stats = stats.snapshot();
     QueryRun { batch, stats, cpu_seconds, explain }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_engine::Operator as _;
 
     #[test]
     fn load_compresses_lineitem_well() {

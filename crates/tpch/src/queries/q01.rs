@@ -4,7 +4,7 @@
 use crate::dates::date;
 use crate::db::{run_query as timed, QueryConfig, QueryRun, TpchDb};
 use scc_engine::Operator as _;
-use scc_engine::{AggExpr, Expr, HashAggregate, OrderBy, Select, SortKey};
+use scc_engine::{AggExpr, Expr, HashAggregate, OrderBy, SortKey};
 
 /// Columns scanned.
 pub const COLUMNS: &[(&str, &[&str])] = &[(
@@ -27,7 +27,8 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
     timed(|stats| {
         // Scan layout: 0=returnflag 1=linestatus 2=quantity 3=extprice
         // 4=discount 5=tax 6=shipdate.
-        let scan = cfg.scan(
+        let cutoff = date(1998, 12, 1) - 90;
+        let filtered = cfg.scan_where(
             &db.lineitem,
             &[
                 "l_returnflag",
@@ -38,10 +39,9 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
                 "l_tax",
                 "l_shipdate",
             ],
+            Some(Expr::col(6).le(Expr::lit_i32(cutoff))),
             stats,
         );
-        let cutoff = date(1998, 12, 1) - 90;
-        let filtered = Select::new(scan, Expr::col(6).le(Expr::lit_i32(cutoff)));
         // disc_price = extprice * (100 - discount) / 100
         let disc_price = Expr::lit_i64(100)
             .sub(Expr::col(4))

@@ -5,9 +5,7 @@ use crate::dates::date;
 use crate::db::{run_query as timed, QueryConfig, QueryRun, TpchDb};
 use crate::queries::code_set;
 use scc_engine::Operator as _;
-use scc_engine::{
-    AggExpr, Expr, HashAggregate, HashJoin, JoinKind, Project, Select, SortKey, TopN,
-};
+use scc_engine::{AggExpr, Expr, HashAggregate, HashJoin, JoinKind, Project, SortKey, TopN};
 
 /// Columns scanned.
 pub const COLUMNS: &[(&str, &[&str])] = &[
@@ -22,31 +20,35 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
     timed(|stats| {
         let cut = date(1995, 3, 15);
         // Build side: BUILDING customers. 0=c_custkey 1=c_mktsegment.
-        let cust = cfg.scan(&db.customer, &["c_custkey", "c_mktsegment"], stats);
         let building = code_set(&db.customer, "c_mktsegment", "BUILDING");
-        let cust = Select::new(cust, Expr::col(1).in_set(building));
+        let cust = cfg.scan_where(
+            &db.customer,
+            &["c_custkey", "c_mktsegment"],
+            Some(Expr::col(1).in_set(building)),
+            stats,
+        );
         let cust = Project::new(Box::new(cust), vec![Expr::col(0)]);
 
         // Orders before the cutoff. 0=o_orderkey 1=o_custkey 2=o_orderdate
         // 3=o_shippriority.
-        let ord = cfg.scan(
+        let ord = cfg.scan_where(
             &db.orders,
             &["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
+            Some(Expr::col(2).lt(Expr::lit_i32(cut))),
             stats,
         );
-        let ord = Select::new(ord, Expr::col(2).lt(Expr::lit_i32(cut)));
         // After join: 0..=3 orders cols, 4 = c_custkey.
         let ord_cust =
             HashJoin::new(Box::new(ord), Box::new(cust), vec![1], vec![0], JoinKind::Inner);
 
         // Lineitems shipped after the cutoff. 0=l_orderkey
         // 1=l_extendedprice 2=l_discount 3=l_shipdate.
-        let li = cfg.scan(
+        let li = cfg.scan_where(
             &db.lineitem,
             &["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+            Some(Expr::col(3).gt(Expr::lit_i32(cut))),
             stats,
         );
-        let li = Select::new(li, Expr::col(3).gt(Expr::lit_i32(cut)));
         // After join: 0..=3 lineitem cols, 4=o_orderkey 5=o_custkey
         // 6=o_orderdate 7=o_shippriority 8=c_custkey.
         let joined =

@@ -4,9 +4,7 @@
 use crate::dates::date;
 use crate::db::{run_query as timed, QueryConfig, QueryRun, TpchDb};
 use scc_engine::Operator as _;
-use scc_engine::{
-    AggExpr, Expr, HashAggregate, HashJoin, JoinKind, OrderBy, Project, Select, SortKey,
-};
+use scc_engine::{AggExpr, Expr, HashAggregate, HashJoin, JoinKind, OrderBy, Project, SortKey};
 
 /// Columns scanned.
 pub const COLUMNS: &[(&str, &[&str])] = &[
@@ -19,17 +17,22 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
     timed(|stats| {
         // Late lineitems: commitdate < receiptdate. 0=l_orderkey
         // 1=l_commitdate 2=l_receiptdate.
-        let li = cfg.scan(&db.lineitem, &["l_orderkey", "l_commitdate", "l_receiptdate"], stats);
-        let li = Select::new(li, Expr::col(1).lt(Expr::col(2)));
+        let li = cfg.scan_where(
+            &db.lineitem,
+            &["l_orderkey", "l_commitdate", "l_receiptdate"],
+            Some(Expr::col(1).lt(Expr::col(2))),
+            stats,
+        );
         let li = Project::new(Box::new(li), vec![Expr::col(0)]);
 
         // Orders in Q3/1993. 0=o_orderkey 1=o_orderdate 2=o_orderpriority.
         let lo = date(1993, 7, 1);
         let hi = date(1993, 10, 1);
-        let ord = cfg.scan(&db.orders, &["o_orderkey", "o_orderdate", "o_orderpriority"], stats);
-        let ord = Select::new(
-            ord,
-            Expr::col(1).ge(Expr::lit_i32(lo)).and(Expr::col(1).lt(Expr::lit_i32(hi))),
+        let ord = cfg.scan_where(
+            &db.orders,
+            &["o_orderkey", "o_orderdate", "o_orderpriority"],
+            Some(Expr::col(1).ge(Expr::lit_i32(lo)).and(Expr::col(1).lt(Expr::lit_i32(hi)))),
+            stats,
         );
         let semi = HashJoin::new(Box::new(ord), Box::new(li), vec![0], vec![0], JoinKind::LeftSemi);
         let agg = HashAggregate::new(Box::new(semi), vec![Expr::col(2)], vec![AggExpr::Count]);

@@ -41,10 +41,11 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
         // Orders in 1994 joined to their customers. 0=o_orderkey
         // 1=o_custkey 2=o_orderdate then 3=c_custkey 4=c_nationkey.
         let (lo, hi) = (date(1994, 1, 1), date(1995, 1, 1));
-        let ord = cfg.scan(&db.orders, &["o_orderkey", "o_custkey", "o_orderdate"], stats);
-        let ord = Select::new(
-            ord,
-            Expr::col(2).ge(Expr::lit_i32(lo)).and(Expr::col(2).lt(Expr::lit_i32(hi))),
+        let ord = cfg.scan_where(
+            &db.orders,
+            &["o_orderkey", "o_custkey", "o_orderdate"],
+            Some(Expr::col(2).ge(Expr::lit_i32(lo)).and(Expr::col(2).lt(Expr::lit_i32(hi)))),
+            stats,
         );
         let cust = cfg.scan(&db.customer, &["c_custkey", "c_nationkey"], stats);
         let ord_cust =

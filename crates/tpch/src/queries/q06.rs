@@ -4,7 +4,7 @@
 use crate::dates::date;
 use crate::db::{run_query as timed, QueryConfig, QueryRun, TpchDb};
 use scc_engine::Operator as _;
-use scc_engine::{AggExpr, Expr, HashAggregate, Select};
+use scc_engine::{AggExpr, Expr, HashAggregate};
 
 /// Columns scanned.
 pub const COLUMNS: &[(&str, &[&str])] =
@@ -14,11 +14,6 @@ pub const COLUMNS: &[(&str, &[&str])] =
 pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
     timed(|stats| {
         // 0=shipdate 1=discount 2=quantity 3=extendedprice.
-        let scan = cfg.scan(
-            &db.lineitem,
-            &["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
-            stats,
-        );
         let lo = date(1994, 1, 1);
         let hi = date(1995, 1, 1);
         // discount between 0.05 and 0.07 => integer percent 5..=7.
@@ -28,7 +23,12 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
             .and(Expr::col(1).ge(Expr::lit_i64(5)))
             .and(Expr::col(1).le(Expr::lit_i64(7)))
             .and(Expr::col(2).lt(Expr::lit_i64(24)));
-        let filtered = Select::new(scan, pred);
+        let filtered = cfg.scan_where(
+            &db.lineitem,
+            &["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
+            Some(pred),
+            stats,
+        );
         let revenue = Expr::col(3).to_f64().mul(Expr::col(1).to_f64()).mul(Expr::lit_f64(0.01));
         let mut plan = HashAggregate::new(Box::new(filtered), vec![], vec![AggExpr::Sum(revenue)]);
         let batch = scc_engine::ops::collect(&mut plan);

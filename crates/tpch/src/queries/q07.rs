@@ -26,13 +26,21 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
         let pair: HashSet<u64> = [fr as u64, de as u64].into_iter().collect();
 
         // Suppliers in FRANCE/GERMANY. 0=s_suppkey 1=s_nationkey.
-        let supp = cfg.scan(&db.supplier, &["s_suppkey", "s_nationkey"], stats);
-        let supp = Select::new(supp, Expr::col(1).in_set(pair.clone()));
+        let supp = cfg.scan_where(
+            &db.supplier,
+            &["s_suppkey", "s_nationkey"],
+            Some(Expr::col(1).in_set(pair.clone())),
+            stats,
+        );
 
         // Customers in FRANCE/GERMANY joined through orders.
         // 0=o_orderkey 1=o_custkey then 2=c_custkey 3=c_nationkey.
-        let cust = cfg.scan(&db.customer, &["c_custkey", "c_nationkey"], stats);
-        let cust = Select::new(cust, Expr::col(1).in_set(pair));
+        let cust = cfg.scan_where(
+            &db.customer,
+            &["c_custkey", "c_nationkey"],
+            Some(Expr::col(1).in_set(pair)),
+            stats,
+        );
         let ord = cfg.scan(&db.orders, &["o_orderkey", "o_custkey"], stats);
         let ord_cust =
             HashJoin::new(Box::new(ord), Box::new(cust), vec![1], vec![0], JoinKind::Inner);
@@ -42,14 +50,11 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
         // 5=s_suppkey 6=s_nationkey; join orders: 7=o_orderkey 8=o_custkey
         // 9=c_custkey 10=c_nationkey.
         let (lo, hi) = (date(1995, 1, 1), date(1996, 12, 31));
-        let li = cfg.scan(
+        let li = cfg.scan_where(
             &db.lineitem,
             &["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
+            Some(Expr::col(4).ge(Expr::lit_i32(lo)).and(Expr::col(4).le(Expr::lit_i32(hi)))),
             stats,
-        );
-        let li = Select::new(
-            li,
-            Expr::col(4).ge(Expr::lit_i32(lo)).and(Expr::col(4).le(Expr::lit_i32(hi))),
         );
         let li_supp =
             HashJoin::new(Box::new(li), Box::new(supp), vec![1], vec![0], JoinKind::Inner);

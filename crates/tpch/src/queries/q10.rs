@@ -6,9 +6,7 @@ use crate::dates::date;
 use crate::db::{run_query as timed, QueryConfig, QueryRun, TpchDb};
 use crate::queries::code_set;
 use scc_engine::Operator as _;
-use scc_engine::{
-    AggExpr, Expr, HashAggregate, HashJoin, JoinKind, Project, Select, SortKey, TopN,
-};
+use scc_engine::{AggExpr, Expr, HashAggregate, HashJoin, JoinKind, Project, SortKey, TopN};
 
 /// Columns scanned.
 pub const COLUMNS: &[(&str, &[&str])] = &[
@@ -23,20 +21,21 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
     timed(|stats| {
         // Orders of Q4/1993. 0=o_orderkey 1=o_custkey 2=o_orderdate.
         let (lo, hi) = (date(1993, 10, 1), date(1994, 1, 1));
-        let ord = cfg.scan(&db.orders, &["o_orderkey", "o_custkey", "o_orderdate"], stats);
-        let ord = Select::new(
-            ord,
-            Expr::col(2).ge(Expr::lit_i32(lo)).and(Expr::col(2).lt(Expr::lit_i32(hi))),
+        let ord = cfg.scan_where(
+            &db.orders,
+            &["o_orderkey", "o_custkey", "o_orderdate"],
+            Some(Expr::col(2).ge(Expr::lit_i32(lo)).and(Expr::col(2).lt(Expr::lit_i32(hi)))),
+            stats,
         );
         // Returned lineitems. 0=l_orderkey 1=l_extendedprice 2=l_discount
         // 3=l_returnflag.
-        let li = cfg.scan(
+        let returned = code_set(&db.lineitem, "l_returnflag", "R");
+        let li = cfg.scan_where(
             &db.lineitem,
             &["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
+            Some(Expr::col(3).in_set(returned)),
             stats,
         );
-        let returned = code_set(&db.lineitem, "l_returnflag", "R");
-        let li = Select::new(li, Expr::col(3).in_set(returned));
         // li ⋈ orders: 0..=3 li cols, 4=o_orderkey 5=o_custkey 6=o_orderdate.
         let li_ord = HashJoin::new(li, ord, vec![0], vec![0], JoinKind::Inner);
         // ⋈ customer: 7=c_custkey 8=c_nationkey 9=c_acctbal.

@@ -4,7 +4,7 @@
 use crate::db::{run_query as timed, QueryConfig, QueryRun, TpchDb};
 use crate::queries::nation_key;
 use scc_engine::Operator as _;
-use scc_engine::{AggExpr, Batch, Expr, HashAggregate, HashJoin, JoinKind, Project, Select};
+use scc_engine::{AggExpr, Batch, Expr, HashAggregate, HashJoin, JoinKind, Project};
 
 /// Columns scanned.
 pub const COLUMNS: &[(&str, &[&str])] = &[
@@ -19,8 +19,12 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
     timed(|stats| {
         let germany = nation_key(db, "GERMANY");
         // German suppliers. 0=s_suppkey 1=s_nationkey.
-        let supp = cfg.scan(&db.supplier, &["s_suppkey", "s_nationkey"], stats);
-        let supp = Select::new(supp, Expr::col(1).eq(Expr::lit_i64(germany)));
+        let supp = cfg.scan_where(
+            &db.supplier,
+            &["s_suppkey", "s_nationkey"],
+            Some(Expr::col(1).eq(Expr::lit_i64(germany))),
+            stats,
+        );
         // Partsupp probe: 0=ps_partkey 1=ps_suppkey 2=ps_availqty
         // 3=ps_supplycost; join adds 4=s_suppkey 5=s_nationkey.
         let ps = cfg.scan(

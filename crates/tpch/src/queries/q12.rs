@@ -5,9 +5,7 @@
 use crate::dates::date;
 use crate::db::{run_query as timed, QueryConfig, QueryRun, TpchDb};
 use scc_engine::Operator as _;
-use scc_engine::{
-    AggExpr, Expr, HashAggregate, HashJoin, JoinKind, OrderBy, Project, Select, SortKey,
-};
+use scc_engine::{AggExpr, Expr, HashAggregate, HashJoin, JoinKind, OrderBy, Project, SortKey};
 use std::collections::HashSet;
 
 /// Columns scanned.
@@ -30,19 +28,18 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
             .collect();
         // 0=l_orderkey 1=l_shipmode 2=l_shipdate 3=l_commitdate
         // 4=l_receiptdate.
-        let li = cfg.scan(
+        let li = cfg.scan_where(
             &db.lineitem,
             &["l_orderkey", "l_shipmode", "l_shipdate", "l_commitdate", "l_receiptdate"],
+            Some(
+                Expr::col(1)
+                    .in_set(modes)
+                    .and(Expr::col(3).lt(Expr::col(4)))
+                    .and(Expr::col(2).lt(Expr::col(3)))
+                    .and(Expr::col(4).ge(Expr::lit_i32(lo)))
+                    .and(Expr::col(4).lt(Expr::lit_i32(hi))),
+            ),
             stats,
-        );
-        let li = Select::new(
-            li,
-            Expr::col(1)
-                .in_set(modes)
-                .and(Expr::col(3).lt(Expr::col(4)))
-                .and(Expr::col(2).lt(Expr::col(3)))
-                .and(Expr::col(4).ge(Expr::lit_i32(lo)))
-                .and(Expr::col(4).lt(Expr::lit_i32(hi))),
         );
         // ⋈ orders: 5=o_orderkey 6=o_orderpriority.
         let ord = cfg.scan(&db.orders, &["o_orderkey", "o_orderpriority"], stats);

@@ -4,7 +4,7 @@
 use crate::dates::date;
 use crate::db::{run_query as timed, QueryConfig, QueryRun, TpchDb};
 use scc_engine::Operator as _;
-use scc_engine::{AggExpr, Expr, HashAggregate, HashJoin, JoinKind, Project, Select};
+use scc_engine::{AggExpr, Expr, HashAggregate, HashJoin, JoinKind, Project};
 
 /// Columns scanned.
 pub const COLUMNS: &[(&str, &[&str])] = &[
@@ -18,14 +18,11 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
         // September 1995 lineitems. 0=l_partkey 1=l_extendedprice
         // 2=l_discount 3=l_shipdate.
         let (lo, hi) = (date(1995, 9, 1), date(1995, 10, 1));
-        let li = cfg.scan(
+        let li = cfg.scan_where(
             &db.lineitem,
             &["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
+            Some(Expr::col(3).ge(Expr::lit_i32(lo)).and(Expr::col(3).lt(Expr::lit_i32(hi)))),
             stats,
-        );
-        let li = Select::new(
-            li,
-            Expr::col(3).ge(Expr::lit_i32(lo)).and(Expr::col(3).lt(Expr::lit_i32(hi))),
         );
         // Parts: 4=p_partkey 5=p_type after the join.
         let part = cfg.scan(&db.part, &["p_partkey", "p_type"], stats);

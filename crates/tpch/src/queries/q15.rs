@@ -19,14 +19,11 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
         // Q1/1996 revenue per supplier. 0=l_suppkey 1=l_extendedprice
         // 2=l_discount 3=l_shipdate.
         let (lo, hi) = (date(1996, 1, 1), date(1996, 4, 1));
-        let li = cfg.scan(
+        let li = cfg.scan_where(
             &db.lineitem,
             &["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
+            Some(Expr::col(3).ge(Expr::lit_i32(lo)).and(Expr::col(3).lt(Expr::lit_i32(hi)))),
             stats,
-        );
-        let li = Select::new(
-            li,
-            Expr::col(3).ge(Expr::lit_i32(lo)).and(Expr::col(3).lt(Expr::lit_i32(hi))),
         );
         let revenue = Expr::lit_i64(100)
             .sub(Expr::col(2))

@@ -31,9 +31,12 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
             db.part.str_col("p_brand").code_of(BRAND).map(|c| c as u64).into_iter().collect();
         let containers =
             db.part.str_col("p_container").codes_matching(|c| c.starts_with(CONTAINER_PREFIX));
-        let part = cfg.scan(&db.part, &["p_partkey", "p_brand", "p_container"], stats);
-        let part =
-            Select::new(part, Expr::col(1).in_set(brand).and(Expr::col(2).in_set(containers)));
+        let part = cfg.scan_where(
+            &db.part,
+            &["p_partkey", "p_brand", "p_container"],
+            Some(Expr::col(1).in_set(brand).and(Expr::col(2).in_set(containers))),
+            stats,
+        );
         let part = Project::new(part, vec![Expr::col(0)]);
 
         // Per-part average quantity over the *qualifying* parts only

@@ -34,7 +34,14 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
         // 0=l_partkey 1=l_quantity 2=l_extendedprice 3=l_discount
         // 4=l_shipmode 5=l_shipinstruct; after join: 6=p_partkey 7=p_brand
         // 8=p_container 9=p_size.
-        let li = cfg.scan(
+        let air: HashSet<u64> = ["AIR", "REG AIR"]
+            .iter()
+            .filter_map(|m| db.lineitem.str_col("l_shipmode").code_of(m))
+            .map(|c| c as u64)
+            .collect();
+        let deliver =
+            db.lineitem.str_col("l_shipinstruct").codes_matching(|s| s == "DELIVER IN PERSON");
+        let li = cfg.scan_where(
             &db.lineitem,
             &[
                 "l_partkey",
@@ -44,16 +51,9 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
                 "l_shipmode",
                 "l_shipinstruct",
             ],
+            Some(Expr::col(4).in_set(air).and(Expr::col(5).in_set(deliver))),
             stats,
         );
-        let air: HashSet<u64> = ["AIR", "REG AIR"]
-            .iter()
-            .filter_map(|m| db.lineitem.str_col("l_shipmode").code_of(m))
-            .map(|c| c as u64)
-            .collect();
-        let deliver =
-            db.lineitem.str_col("l_shipinstruct").codes_matching(|s| s == "DELIVER IN PERSON");
-        let li = Select::new(li, Expr::col(4).in_set(air).and(Expr::col(5).in_set(deliver)));
         let part = cfg.scan(&db.part, &["p_partkey", "p_brand", "p_container", "p_size"], stats);
         let joined = HashJoin::new(li, part, vec![0], vec![0], JoinKind::Inner);
 

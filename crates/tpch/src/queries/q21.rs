@@ -41,12 +41,12 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
         let multi_supp = Project::new(Box::new(multi_supp), vec![Expr::col(0)]);
 
         // Distinct late (orderkey, suppkey) pairs.
-        let li_late = cfg.scan(
+        let li_late = cfg.scan_where(
             &db.lineitem,
             &["l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"],
+            Some(Expr::col(2).gt(Expr::col(3))),
             stats,
         );
-        let li_late = Select::new(li_late, Expr::col(2).gt(Expr::col(3)));
         let late_pairs = HashAggregate::new(
             Box::new(li_late),
             vec![Expr::col(0), Expr::col(1)],
@@ -81,17 +81,25 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
             vec![0],
             JoinKind::LeftSemi,
         );
-        let ord = cfg.scan(&db.orders, &["o_orderkey", "o_orderstatus"], stats);
         let f_code = code_set(&db.orders, "o_orderstatus", "F");
-        let ord_f = Select::new(ord, Expr::col(1).in_set(f_code));
+        let ord_f = cfg.scan_where(
+            &db.orders,
+            &["o_orderkey", "o_orderstatus"],
+            Some(Expr::col(1).in_set(f_code)),
+            stats,
+        );
         let ord_f = Project::new(Box::new(ord_f), vec![Expr::col(0)]);
         let cand =
             HashJoin::new(Box::new(cand), Box::new(ord_f), vec![0], vec![0], JoinKind::LeftSemi);
 
         // Saudi suppliers only; count waits per supplier.
         // cand: 0=orderkey 1=suppkey; join adds 2=s_suppkey 3=s_nationkey.
-        let supp = cfg.scan(&db.supplier, &["s_suppkey", "s_nationkey"], stats);
-        let supp = Select::new(supp, Expr::col(1).eq(Expr::lit_i64(saudi)));
+        let supp = cfg.scan_where(
+            &db.supplier,
+            &["s_suppkey", "s_nationkey"],
+            Some(Expr::col(1).eq(Expr::lit_i64(saudi))),
+            stats,
+        );
         let joined =
             HashJoin::new(Box::new(cand), Box::new(supp), vec![1], vec![0], JoinKind::Inner);
         let agg = HashAggregate::new(Box::new(joined), vec![Expr::col(1)], vec![AggExpr::Count]);

@@ -56,8 +56,8 @@ fn main() {
     }
     println!(
         "\nFAIL rows: {fails} — scan read {:.2} MB compressed, modeled {:.1} ms of I/O",
-        stats.lock().unwrap().io_bytes as f64 / 1e6,
-        stats.lock().unwrap().io_seconds * 1000.0
+        stats.snapshot().io_bytes as f64 / 1e6,
+        stats.snapshot().io_seconds() * 1000.0
     );
 
     // Buffer pool: the compressed cache holds the whole table; a second
@@ -75,9 +75,9 @@ fn main() {
         while scan.next().is_some() {}
         println!(
             "pass {pass}: {} pool hits, {} misses, {:.2} MB charged to disk",
-            stats.lock().unwrap().pool_hits,
-            stats.lock().unwrap().pool_misses,
-            stats.lock().unwrap().io_bytes as f64 / 1e6
+            stats.snapshot().pool_hits,
+            stats.snapshot().pool_misses,
+            stats.snapshot().io_bytes as f64 / 1e6
         );
     }
 
@@ -106,7 +106,7 @@ fn main() {
         while scan.next().is_some() {}
         println!(
             "{label}: {:.1} MB of RAM traffic",
-            stats.lock().unwrap().ram_traffic_bytes as f64 / 1e6
+            stats.snapshot().ram_traffic_bytes as f64 / 1e6
         );
     }
 }

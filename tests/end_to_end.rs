@@ -76,8 +76,7 @@ fn compressed_scan_beats_uncompressed_on_io() {
             None,
         );
         while scan.next().is_some() {}
-        let bytes = stats.lock().unwrap().io_bytes;
-        bytes
+        stats.snapshot().io_bytes
     };
     let compressed = io_of(ScanMode::Compressed);
     let uncompressed = io_of(ScanMode::Uncompressed);
@@ -108,7 +107,7 @@ fn buffer_pool_compressed_caching_beats_uncompressed_budget() {
             );
             while scan.next().is_some() {}
         }
-        let s = stats.lock().unwrap();
+        let s = stats.snapshot();
         (s.pool_hits, s.pool_misses)
     };
     let (hits_c, _misses_c) = run(ScanMode::Compressed);
