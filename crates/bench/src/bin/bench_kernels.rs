@@ -15,6 +15,10 @@
 //!    `Segment::try_decode_range`, i.e. the whole two-loop decode the
 //!    scan path runs.
 //!
+//! A class that runs an op on another class's routine (horizontal `sse41`
+//! is the scalar set, vertical `avx2` is the 128-bit `sse41` set) gets no
+//! row for it: both sweeps record each implementation once.
+//!
 //! The summary block records the fused-SIMD-vs-scalar speedup per width
 //! (the ISSUE acceptance bar is ≥ 1.5× at widths 4–16) and the
 //! vertical-vs-horizontal fused decode ratio (target ≥ 2× at widths
@@ -78,10 +82,28 @@ fn get_f64(j: &Json, key: &str) -> f64 {
     j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
+/// `Some(other)` when `class` runs `op` (a `v*` name is a vertical-layout
+/// op) on `other`'s routine — the table in `scc_bitpack::kernel`. Such a
+/// row would repeat `other`'s measurement under a second name, so the
+/// sweeps skip it and the console table prints `=other`.
+fn alias_of(class: KernelClass, op: &str) -> Option<KernelClass> {
+    match (class, op.starts_with('v')) {
+        (KernelClass::Sse41, false) => Some(KernelClass::Scalar),
+        (KernelClass::Avx2, false) if op == "pack" => Some(KernelClass::Scalar),
+        (KernelClass::Avx2, true) => Some(KernelClass::Sse41),
+        _ => None,
+    }
+}
+
 /// Raw kernel sweep over one width for every available tier. Returns
 /// the `unpack_for32` (horizontal) and `vunpack_for32` (vertical)
 /// reports as `(op, class, report)` rows for the summary block.
-fn kernel_sweep(b: u32, n: usize, reps: usize, sweeps: &mut Vec<Json>) -> Vec<(String, String, Json)> {
+fn kernel_sweep(
+    b: u32,
+    n: usize,
+    reps: usize,
+    sweeps: &mut Vec<Json>,
+) -> Vec<(String, String, Json)> {
     let codes: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9e37_79b9) & mask(b)).collect();
     let packed = pack_vec(&codes, b);
     let vpacked = scc_bitpack::vert::pack_vec(&codes, b);
@@ -93,53 +115,38 @@ fn kernel_sweep(b: u32, n: usize, reps: usize, sweeps: &mut Vec<Json>) -> Vec<(S
     let mut per_class: Vec<(String, String, Json)> = Vec::new();
     for class in KernelClass::ALL {
         let Some(k) = kernel::kernels_for(class) else { continue };
-        let ops: Vec<(&str, Measure, usize)> = vec![
-            ("unpack", measure(reps, || k.unpack(&packed, b, &mut out32)), 4 * n),
-            ("unpack_for32", measure(reps, || k.unpack_for32(&packed, b, 3, &mut out32)), 4 * n),
-            ("unpack_for64", measure(reps, || k.unpack_for64(&packed, b, 3, &mut out64)), 8 * n),
-            (
-                "unpack_delta32",
-                measure(reps, || k.unpack_delta32(&packed, b, 1, 7, &mut out32)),
-                4 * n,
-            ),
-            (
-                "unpack_delta64",
-                measure(reps, || k.unpack_delta64(&packed, b, 1, 7, &mut out64)),
-                8 * n,
-            ),
-            ("pack", measure(reps, || k.pack(&codes, b, &mut pbuf)), 4 * n),
-            ("vunpack", measure(reps, || k.vunpack(&vpacked, b, &mut out32)), 4 * n),
-            ("vunpack_for32", measure(reps, || k.vunpack_for32(&vpacked, b, 3, &mut out32)), 4 * n),
-            (
-                "vunpack_for64",
-                measure(reps, || k.vunpack_for64(&vpacked, b, 3, &mut out64)),
-                8 * n,
-            ),
-            (
-                "vunpack_delta32",
-                measure(reps, || k.vunpack_delta32(&vpacked, b, 1, &seeds, &mut out32)),
-                4 * n,
-            ),
-            (
-                "vunpack_delta64",
-                measure(reps, || k.vunpack_delta64(&vpacked, b, 1, &seeds64, &mut out64)),
-                8 * n,
-            ),
-            ("vpack", measure(reps, || k.vpack(&codes, b, &mut pbuf)), 4 * n),
-        ];
-        for (op, m, bytes) in &ops {
-            let rep = report(m, n, *bytes);
-            if *op == "unpack_for32" || *op == "vunpack_for32" {
-                per_class.push(((*op).into(), class.name().to_string(), rep.clone()));
+        let mut row = |op: &str, bytes: usize, f: &mut dyn FnMut()| {
+            if alias_of(class, op).is_some() {
+                return;
+            }
+            let rep = report(&measure(reps, f), n, bytes);
+            if op == "unpack_for32" || op == "vunpack_for32" {
+                per_class.push((op.into(), class.name().to_string(), rep.clone()));
             }
             sweeps.push(Json::Obj(vec![
                 ("kind".into(), Json::Str("kernel".into())),
-                ("op".into(), Json::Str((*op).into())),
+                ("op".into(), Json::Str(op.into())),
                 ("b".into(), Json::U64(b as u64)),
                 ("class".into(), Json::Str(class.name().into())),
                 ("report".into(), rep),
             ]));
-        }
+        };
+        row("unpack", 4 * n, &mut || k.unpack(&packed, b, &mut out32));
+        row("unpack_for32", 4 * n, &mut || k.unpack_for32(&packed, b, 3, &mut out32));
+        row("unpack_for64", 8 * n, &mut || k.unpack_for64(&packed, b, 3, &mut out64));
+        row("unpack_delta32", 4 * n, &mut || k.unpack_delta32(&packed, b, 1, 7, &mut out32));
+        row("unpack_delta64", 8 * n, &mut || k.unpack_delta64(&packed, b, 1, 7, &mut out64));
+        row("pack", 4 * n, &mut || k.pack(&codes, b, &mut pbuf));
+        row("vunpack", 4 * n, &mut || k.vunpack(&vpacked, b, &mut out32));
+        row("vunpack_for32", 4 * n, &mut || k.vunpack_for32(&vpacked, b, 3, &mut out32));
+        row("vunpack_for64", 8 * n, &mut || k.vunpack_for64(&vpacked, b, 3, &mut out64));
+        row("vunpack_delta32", 4 * n, &mut || {
+            k.vunpack_delta32(&vpacked, b, 1, &seeds, &mut out32)
+        });
+        row("vunpack_delta64", 8 * n, &mut || {
+            k.vunpack_delta64(&vpacked, b, 1, &seeds64, &mut out64)
+        });
+        row("vpack", 4 * n, &mut || k.vpack(&codes, b, &mut pbuf));
     }
     std::hint::black_box((&out32, &out64, &pbuf));
     per_class
@@ -229,11 +236,19 @@ fn main() {
                 .fold(0.0f64, f64::max)
         };
         for class in KernelClass::ALL {
-            let h = pick("unpack_for32", class.name(), "gb_per_sec");
-            let v = pick("vunpack_for32", class.name(), "gb_per_sec");
-            if h > 0.0 || v > 0.0 {
-                println!("{:<6} {b:>3} {h:>10.2} {v:>10.2}", class.name());
+            if kernel::kernels_for(class).is_none() {
+                continue;
             }
+            let cell = |op: &str| match alias_of(class, op) {
+                Some(other) => format!("={other}"),
+                None => format!("{:.2}", pick(op, class.name(), "gb_per_sec")),
+            };
+            println!(
+                "{:<6} {b:>3} {:>10} {:>10}",
+                class.name(),
+                cell("unpack_for32"),
+                cell("vunpack_for32")
+            );
         }
         let scalar_vps = pick("unpack_for32", "scalar", "values_per_sec");
         let best_simd = best("unpack_for32", "values_per_sec");
@@ -277,8 +292,10 @@ fn main() {
         for exc_pct in [0usize, 1, 5, 20] {
             for layout in [Layout::Horizontal, Layout::Vertical] {
                 let seg = build_segment(scheme, exc_pct, seg_n, layout);
+                // A segment decode runs the layout's decoders.
+                let decode_op = if layout == Layout::Vertical { "vunpack" } else { "unpack" };
                 for class in KernelClass::ALL {
-                    if kernel::force(class).is_err() {
+                    if alias_of(class, decode_op).is_some() || kernel::force(class).is_err() {
                         continue;
                     }
                     let m = measure(seg_reps, || {

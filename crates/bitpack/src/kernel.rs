@@ -1,43 +1,49 @@
-//! Runtime kernel dispatch: scalar vs SSE4.1 vs AVX2.
+//! Runtime kernel dispatch, and the one table of which (layout ×
+//! class × op) combinations the crate maintains.
 //!
-//! The unpack and fused-decode entry points of this crate route through a
-//! per-process dispatch table chosen once at first use. On x86-64 with the
-//! `simd` feature (default), the highest tier the CPU supports wins:
+//! The pack, unpack, fused-decode and compare entry points of this crate
+//! route through a per-process dispatch table chosen once at first use.
+//! On x86-64 with the `simd` feature (default), the highest class the CPU
+//! supports wins:
 //!
-//! | tier | unpack | fused post-passes (FOR add, delta prefix sum, 64-bit widening) |
+//! | class | horizontal layout | vertical layout |
 //! |---|---|---|
-//! | `avx2` | vectorized (8 lanes, variable shifts) | vectorized |
-//! | `sse4.1` | scalar | vectorized (`paddd`, `pmovzxdq`, shift-add prefix) |
-//! | `scalar` | scalar | scalar |
+//! | `scalar` | scalar, every op (the reference) | scalar, every op (the reference) |
+//! | `sse41` | scalar, every op | the 128-bit set in `vsimd.rs`, every op |
+//! | `avx2` | AVX2 decoders in `simd.rs` (unpack, FOR, DELTA, prefix sum); scalar pack and compare | the same 128-bit set |
 //!
-//! SSE4.1 is the floor for a SIMD tier because the fused 64-bit decode
-//! leans on `pmovzxdq` (`_mm_cvtepu32_epi64`); pre-AVX2 x86 also lacks
-//! per-lane variable shifts, which is why the SSE4.1 tier keeps the
-//! scalar unpack and vectorizes only the fusion stages.
+//! The vertical layout is four 32-bit lanes — natively one 128-bit
+//! register — so both SIMD classes share one kernel set. The horizontal
+//! layout is what v1/v2 files and the direct compressors hold; it keeps
+//! its AVX2 decoders so those still decode at speed, and nothing else
+//! (pre-AVX2 x86 lacks the per-lane variable shifts a horizontal unpack
+//! needs). The statics below are that table; `SSE41` and `AVX2` point at
+//! the same [`VertOps`].
 //!
-//! Every tier is byte-identical: all arithmetic is wrapping and the
+//! Every class is byte-identical: all arithmetic is wrapping and the
 //! dispatch only changes instruction selection, never results. The
 //! differential property tests in `tests/` assert this for every width,
 //! including ragged tails.
 //!
 //! Selection can be overridden: the `SCC_KERNEL` environment variable
 //! (`scalar`, `sse41`, `avx2`; read once at first dispatch) or [`force`]
-//! (used by `bench_kernels` to sweep tiers in-process). Overrides naming
-//! an unsupported tier are rejected, so a forced kernel never executes
-//! unsupported instructions.
+//! (used by `bench_kernels` to sweep classes in-process). An override
+//! naming an unknown or unsupported class is not honoured — detection
+//! runs instead and says so on stderr — so a forced kernel never
+//! executes unsupported instructions.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which kernel tier serves the dispatch table. See the module docs for
-/// what each tier vectorizes.
+/// Which kernel class serves the dispatch table. See the module docs for
+/// what each class vectorizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// Portable scalar kernels; the only tier off x86-64 or with the
     /// `simd` feature disabled.
     Scalar,
-    /// Scalar unpack + SSE4.1-vectorized fusion stages.
+    /// 128-bit vertical kernels; scalar horizontal kernels.
     Sse41,
-    /// AVX2-vectorized unpack and fusion stages.
+    /// The same vertical kernels plus the AVX2 horizontal decoders.
     Avx2,
 }
 
@@ -61,6 +67,16 @@ impl KernelClass {
             KernelClass::Scalar => 0,
             KernelClass::Sse41 => 1,
             KernelClass::Avx2 => 2,
+        }
+    }
+
+    /// The class an `SCC_KERNEL` value names, if any.
+    pub fn from_name(name: &str) -> Option<KernelClass> {
+        match name {
+            "scalar" => Some(KernelClass::Scalar),
+            "sse41" | "sse4.1" => Some(KernelClass::Sse41),
+            "avx2" => Some(KernelClass::Avx2),
+            _ => None,
         }
     }
 
@@ -109,7 +125,7 @@ pub(crate) struct VertOps {
     pub(crate) cmp_in_set: fn(&[u32], u32, &[u64], &mut [bool]),
 }
 
-pub(crate) static VERT_SCALAR: VertOps = VertOps {
+static VERT_SCALAR: VertOps = VertOps {
     pack: crate::vert::vpack_scalar,
     unpack: crate::vert::vunpack_scalar,
     for32: crate::vert::vfor32_scalar,
@@ -155,6 +171,37 @@ static SCALAR: Driver = Driver {
     vert: &VERT_SCALAR,
 };
 
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+static VERT_SIMD: VertOps = VertOps {
+    pack: crate::vsimd::vpack_sse41,
+    unpack: crate::vsimd::vunpack_sse41,
+    for32: crate::vsimd::vfor32_sse41,
+    for64: crate::vsimd::vfor64_sse41,
+    delta32: crate::vsimd::vdelta32_sse41,
+    delta64: crate::vsimd::vdelta64_sse41,
+    prefix32: crate::vsimd::vprefix32_sse41,
+    prefix64: crate::vsimd::vprefix64_sse41,
+    cmp_range: crate::vsimd::vcmp_range_sse41,
+    cmp_in_set: crate::vsimd::vcmp_in_set_sse41,
+};
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+static SSE41: Driver = Driver { class: KernelClass::Sse41, vert: &VERT_SIMD, ..SCALAR };
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+static AVX2: Driver = Driver {
+    class: KernelClass::Avx2,
+    unpack: crate::simd::unpack_avx2,
+    unpack_for32: crate::simd::for32_avx2,
+    unpack_for64: crate::simd::for64_avx2,
+    unpack_delta32: crate::simd::delta32_avx2,
+    unpack_delta64: crate::simd::delta64_avx2,
+    prefix_sum32: crate::simd::prefix_sum32_avx2,
+    prefix_sum64: crate::simd::prefix_sum64_avx2,
+    vert: &VERT_SIMD,
+    ..SCALAR
+};
+
 /// `0` = not yet detected; otherwise `KernelClass::index() + 1`.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
@@ -165,6 +212,8 @@ pub fn available(class: KernelClass) -> bool {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         KernelClass::Sse41 => is_x86_feature_detected!("sse4.1"),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        // Also licenses the vertical set's SSE4.1 code: `avx2` implies
+        // `sse4.1` (rustc's target-feature implications assume the same).
         KernelClass::Avx2 => is_x86_feature_detected!("avx2"),
         #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
         _ => false,
@@ -172,27 +221,26 @@ pub fn available(class: KernelClass) -> bool {
 }
 
 fn detect() -> KernelClass {
-    if let Ok(v) = std::env::var("SCC_KERNEL") {
-        let wanted = match v.as_str() {
-            "scalar" => Some(KernelClass::Scalar),
-            "sse41" | "sse4.1" => Some(KernelClass::Sse41),
-            "avx2" => Some(KernelClass::Avx2),
-            _ => None,
-        };
-        if let Some(c) = wanted {
-            if available(c) {
-                return c;
-            }
-        }
-        // Unknown or unsupported override: fall through to detection
-        // rather than silently running unsupported instructions.
-    }
-    if available(KernelClass::Avx2) {
+    let best = if available(KernelClass::Avx2) {
         KernelClass::Avx2
     } else if available(KernelClass::Sse41) {
         KernelClass::Sse41
     } else {
         KernelClass::Scalar
+    };
+    let Ok(v) = std::env::var("SCC_KERNEL") else {
+        return best;
+    };
+    match KernelClass::from_name(&v) {
+        Some(c) if available(c) => c,
+        other => {
+            let why = match other {
+                Some(_) => "is not available on this CPU/build",
+                None => "names no kernel class (scalar|sse41|avx2)",
+            };
+            eprintln!("scc-bitpack: SCC_KERNEL={v} {why}; using {best}");
+            best
+        }
     }
 }
 
@@ -224,9 +272,9 @@ pub(crate) fn driver_for(class: KernelClass) -> Option<&'static Driver> {
     match class {
         KernelClass::Scalar => Some(&SCALAR),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelClass::Sse41 => available(class).then_some(&crate::simd::SSE41),
+        KernelClass::Sse41 => available(class).then_some(&SSE41),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        KernelClass::Avx2 => available(class).then_some(&crate::simd::AVX2),
+        KernelClass::Avx2 => available(class).then_some(&AVX2),
         #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
         _ => None,
     }
@@ -455,6 +503,12 @@ mod tests {
         for (i, c) in KernelClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
+    }
+
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[test]
+    fn simd_classes_share_one_vertical_set() {
+        assert!(std::ptr::eq(SSE41.vert, AVX2.vert));
     }
 
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]

@@ -62,9 +62,9 @@ pub const fn packed_words(n: usize, b: u32) -> usize {
 
 /// Packs `values` (each must fit in `b` bits; upper bits are ignored) into
 /// `out`. `out` must have exactly [`packed_words`]`(values.len(), b)`
-/// elements. Dispatches through the runtime kernel table; SIMD tiers
-/// vectorize the byte-aligned widths (8/16/32) and fall back to the
-/// scalar group kernels elsewhere.
+/// elements. Dispatches through the runtime kernel table, where every
+/// class runs the scalar group kernels (only the vertical pack,
+/// [`vert::pack`], has a SIMD routine).
 ///
 /// # Panics
 /// Panics if `b > 32` or `out` has the wrong length.

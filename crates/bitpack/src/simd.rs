@@ -1,6 +1,9 @@
-//! x86-64 SIMD kernel tiers (compiled only with `feature = "simd"`).
+//! AVX2 decoders for the horizontal layout (compiled only with
+//! `feature = "simd"`): unpack, the fused FOR / DELTA decodes and the
+//! prefix sums. Horizontal pack and compare have no SIMD routine; every
+//! class runs the scalar ones (`kernel.rs` holds the table).
 //!
-//! # AVX2 horizontal unpack
+//! # Unpack
 //!
 //! One 32-value group at width `B` occupies `B` packed words. The kernel
 //! produces the group as 4 vectors of 8 lanes. For vector `j` (values
@@ -32,16 +35,7 @@
 //! base, finishing the remainder with the scalar kernels — results are
 //! byte-identical either way, and no load ever leaves the caller's
 //! slice.
-//!
-//! # SSE4.1 tier
-//!
-//! Pre-AVX2 x86 has no per-lane variable shifts, so a vectorized
-//! horizontal unpack is not profitable there. The SSE4.1 tier keeps the
-//! scalar unpack and vectorizes the fusion stages: the FOR add
-//! (`paddd`), the 64-bit widening (`pmovzxdq`), and the shift-add
-//! prefix sums for delta decode.
 
-use crate::kernel::{Driver, KernelClass};
 use crate::GROUP;
 use core::arch::x86_64::*;
 
@@ -324,11 +318,11 @@ fn delta64_w<const B: u32>(packed: &[u32], delta_base: u64, seed: u64, out: &mut
 }
 
 // ---------------------------------------------------------------------
-// AVX2 driver entry points (plain safe fns installed in the dispatch
+// Entry points (plain safe fns that `kernel.rs` installs in the dispatch
 // table only after `is_x86_feature_detected!("avx2")`).
 // ---------------------------------------------------------------------
 
-fn unpack_avx2(packed: &[u32], b: u32, out: &mut [u32]) {
+pub(crate) fn unpack_avx2(packed: &[u32], b: u32, out: &mut [u32]) {
     if !(1..=28).contains(&b) {
         return crate::fused::unpack_scalar(packed, b, out);
     }
@@ -336,7 +330,7 @@ fn unpack_avx2(packed: &[u32], b: u32, out: &mut [u32]) {
     unsafe { by_width!(b, unpack_w(packed, out)) }
 }
 
-fn for32_avx2(packed: &[u32], b: u32, base: u32, out: &mut [u32]) {
+pub(crate) fn for32_avx2(packed: &[u32], b: u32, base: u32, out: &mut [u32]) {
     if !(1..=28).contains(&b) {
         return crate::fused::for32_scalar(packed, b, base, out);
     }
@@ -344,7 +338,7 @@ fn for32_avx2(packed: &[u32], b: u32, base: u32, out: &mut [u32]) {
     unsafe { by_width!(b, for32_w(packed, base, out)) }
 }
 
-fn for64_avx2(packed: &[u32], b: u32, base: u64, out: &mut [u64]) {
+pub(crate) fn for64_avx2(packed: &[u32], b: u32, base: u64, out: &mut [u64]) {
     if !(1..=28).contains(&b) {
         return crate::fused::for64_scalar(packed, b, base, out);
     }
@@ -352,7 +346,7 @@ fn for64_avx2(packed: &[u32], b: u32, base: u64, out: &mut [u64]) {
     unsafe { by_width!(b, for64_w(packed, base, out)) }
 }
 
-fn delta32_avx2(packed: &[u32], b: u32, delta_base: u32, seed: u32, out: &mut [u32]) {
+pub(crate) fn delta32_avx2(packed: &[u32], b: u32, delta_base: u32, seed: u32, out: &mut [u32]) {
     if !(1..=28).contains(&b) {
         return crate::fused::delta32_scalar(packed, b, delta_base, seed, out);
     }
@@ -360,7 +354,7 @@ fn delta32_avx2(packed: &[u32], b: u32, delta_base: u32, seed: u32, out: &mut [u
     unsafe { by_width!(b, delta32_w(packed, delta_base, seed, out)) }
 }
 
-fn delta64_avx2(packed: &[u32], b: u32, delta_base: u64, seed: u64, out: &mut [u64]) {
+pub(crate) fn delta64_avx2(packed: &[u32], b: u32, delta_base: u64, seed: u64, out: &mut [u64]) {
     if !(1..=28).contains(&b) {
         return crate::fused::delta64_scalar(packed, b, delta_base, seed, out);
     }
@@ -368,7 +362,7 @@ fn delta64_avx2(packed: &[u32], b: u32, delta_base: u64, seed: u64, out: &mut [u
     unsafe { by_width!(b, delta64_w(packed, delta_base, seed, out)) }
 }
 
-fn prefix_sum32_avx2(out: &mut [u32], seed: u32) {
+pub(crate) fn prefix_sum32_avx2(out: &mut [u32], seed: u32) {
     // SAFETY: this driver is only installed when AVX2 is detected.
     unsafe { prefix_sum32_avx2_impl(out, seed) }
 }
@@ -393,7 +387,7 @@ fn prefix_sum32_avx2_impl(out: &mut [u32], seed: u32) {
     }
 }
 
-fn prefix_sum64_avx2(out: &mut [u64], seed: u64) {
+pub(crate) fn prefix_sum64_avx2(out: &mut [u64], seed: u64) {
     // SAFETY: this driver is only installed when AVX2 is detected.
     unsafe { prefix_sum64_avx2_impl(out, seed) }
 }
@@ -418,363 +412,10 @@ fn prefix_sum64_avx2_impl(out: &mut [u64], seed: u64) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Packed-domain compare kernels. Codes stream through a small stack
-// buffer (unpacked with the tier's unpack) and the band test runs
-// vectorized over it; results are byte-identical to the scalar tier by
-// construction since the output depends only on the code values.
-// ---------------------------------------------------------------------
-
-/// Codes per streaming chunk of the compare kernels. A multiple of
-/// [`GROUP`] so chunk starts stay group-aligned in the packed words.
-const CMP_CHUNK: usize = 1024;
-
-/// Vectorized `lo <= c <= hi` (optionally negated) over already-unpacked
-/// codes, writing one `bool` byte per code. Unsigned order via the
-/// sign-bit bias trick (`c ^ 0x8000_0000` makes signed compares act
-/// unsigned).
-#[target_feature(enable = "sse4.1")]
-pub(crate) fn cmp_band_sse(codes: &[u32], lo: u32, hi: u32, negate: bool, out: &mut [bool]) {
-    let bias = _mm_set1_epi32(i32::MIN);
-    let vlo = _mm_set1_epi32((lo ^ 0x8000_0000) as i32);
-    let vhi = _mm_set1_epi32((hi ^ 0x8000_0000) as i32);
-    // `outside ^ vneg`: all-ones flips "outside" into "inside" for the
-    // plain band; zero keeps "outside" for the negated band.
-    let vneg = if negate { _mm_setzero_si128() } else { _mm_set1_epi32(-1) };
-    let one = _mm_set1_epi8(1);
-    let chunks = codes.len() / 16;
-    for c in 0..chunks {
-        let base = codes.as_ptr().wrapping_add(16 * c).cast::<__m128i>();
-        let mut r = [_mm_setzero_si128(); 4];
-        for (j, rj) in r.iter_mut().enumerate() {
-            // SAFETY: lanes 16c+4j..16c+4j+4 are within `codes`.
-            let x = _mm_xor_si128(unsafe { _mm_loadu_si128(base.wrapping_add(j)) }, bias);
-            let outside = _mm_or_si128(_mm_cmpgt_epi32(vlo, x), _mm_cmpgt_epi32(x, vhi));
-            *rj = _mm_xor_si128(outside, vneg);
-        }
-        // i32 masks -> i16 -> i8 keeps element order on SSE.
-        let p01 = _mm_packs_epi32(r[0], r[1]);
-        let p23 = _mm_packs_epi32(r[2], r[3]);
-        let bytes = _mm_and_si128(_mm_packs_epi16(p01, p23), one);
-        // SAFETY: 16 bytes at out[16c..] are within `out`; 0/1 bytes are
-        // valid `bool` representations.
-        unsafe { _mm_storeu_si128(out.as_mut_ptr().add(16 * c).cast(), bytes) };
-    }
-    for j in 16 * chunks..codes.len() {
-        let c = codes[j];
-        out[j] = ((c >= lo) & (c <= hi)) != negate;
-    }
-}
-
-fn cmp_range_sse41(packed: &[u32], b: u32, lo: u32, hi: u32, negate: bool, out: &mut [bool]) {
-    if b == 0 {
-        return crate::cmp::cmp_range_scalar(packed, b, lo, hi, negate, out);
-    }
-    let n = out.len();
-    let mut buf = [0u32; CMP_CHUNK];
-    let mut i = 0usize;
-    while i < n {
-        let len = CMP_CHUNK.min(n - i);
-        crate::fused::unpack_scalar(&packed[i / GROUP * b as usize..], b, &mut buf[..len]);
-        // SAFETY: this driver is only installed when SSE4.1 is detected.
-        unsafe { cmp_band_sse(&buf[..len], lo, hi, negate, &mut out[i..i + len]) };
-        i += len;
-    }
-}
-
-/// AVX2 band test over unpacked codes; 32 codes per iteration, masks
-/// narrowed i32→i16→i8 with a `vpermd` to undo the 128-bit-lane
-/// interleave of the AVX2 pack instructions.
-#[target_feature(enable = "avx2")]
-pub(crate) fn cmp_band_avx2(codes: &[u32], lo: u32, hi: u32, negate: bool, out: &mut [bool]) {
-    let bias = _mm256_set1_epi32(i32::MIN);
-    let vlo = _mm256_set1_epi32((lo ^ 0x8000_0000) as i32);
-    let vhi = _mm256_set1_epi32((hi ^ 0x8000_0000) as i32);
-    let vneg = if negate { _mm256_setzero_si256() } else { _mm256_set1_epi32(-1) };
-    let one = _mm256_set1_epi8(1);
-    let fix = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-    let chunks = codes.len() / 32;
-    for c in 0..chunks {
-        let base = codes.as_ptr().wrapping_add(32 * c).cast::<__m256i>();
-        let mut r = [_mm256_setzero_si256(); 4];
-        for (j, rj) in r.iter_mut().enumerate() {
-            // SAFETY: lanes 32c+8j..32c+8j+8 are within `codes`.
-            let x = _mm256_xor_si256(unsafe { _mm256_loadu_si256(base.wrapping_add(j)) }, bias);
-            let outside = _mm256_or_si256(_mm256_cmpgt_epi32(vlo, x), _mm256_cmpgt_epi32(x, vhi));
-            *rj = _mm256_xor_si256(outside, vneg);
-        }
-        let p01 = _mm256_packs_epi32(r[0], r[1]);
-        let p23 = _mm256_packs_epi32(r[2], r[3]);
-        let interleaved = _mm256_packs_epi16(p01, p23);
-        let bytes = _mm256_and_si256(_mm256_permutevar8x32_epi32(interleaved, fix), one);
-        // SAFETY: 32 bytes at out[32c..] are within `out`; 0/1 bytes are
-        // valid `bool` representations.
-        unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(32 * c).cast(), bytes) };
-    }
-    for j in 32 * chunks..codes.len() {
-        let c = codes[j];
-        out[j] = ((c >= lo) & (c <= hi)) != negate;
-    }
-}
-
-fn cmp_range_avx2(packed: &[u32], b: u32, lo: u32, hi: u32, negate: bool, out: &mut [bool]) {
-    if b == 0 {
-        return crate::cmp::cmp_range_scalar(packed, b, lo, hi, negate, out);
-    }
-    let n = out.len();
-    let mut buf = [0u32; CMP_CHUNK];
-    let mut i = 0usize;
-    while i < n {
-        let len = CMP_CHUNK.min(n - i);
-        unpack_avx2(&packed[i / GROUP * b as usize..], b, &mut buf[..len]);
-        // SAFETY: this driver is only installed when AVX2 is detected.
-        unsafe { cmp_band_avx2(&buf[..len], lo, hi, negate, &mut out[i..i + len]) };
-        i += len;
-    }
-}
-
-fn cmp_in_set_avx2(packed: &[u32], b: u32, bits: &[u64], out: &mut [bool]) {
-    if b == 0 {
-        return crate::cmp::cmp_in_set_scalar(packed, b, bits, out);
-    }
-    // Set membership is a per-lane table lookup, which does not
-    // vectorize profitably; the AVX2 tier still wins the unpack stage.
-    let n = out.len();
-    let mut buf = [0u32; CMP_CHUNK];
-    let mut i = 0usize;
-    while i < n {
-        let len = CMP_CHUNK.min(n - i);
-        unpack_avx2(&packed[i / GROUP * b as usize..], b, &mut buf[..len]);
-        for j in 0..len {
-            out[i + j] = crate::cmp::set_has(bits, buf[j]);
-        }
-        i += len;
-    }
-}
-
-pub(crate) static AVX2: Driver = Driver {
-    class: KernelClass::Avx2,
-    pack: crate::vsimd::pack_x86,
-    unpack: unpack_avx2,
-    unpack_for32: for32_avx2,
-    unpack_for64: for64_avx2,
-    unpack_delta32: delta32_avx2,
-    unpack_delta64: delta64_avx2,
-    prefix_sum32: prefix_sum32_avx2,
-    prefix_sum64: prefix_sum64_avx2,
-    cmp_range: cmp_range_avx2,
-    cmp_in_set: cmp_in_set_avx2,
-    vert: &crate::vsimd::VERT_AVX2,
-};
-
-// ---------------------------------------------------------------------
-// SSE4.1 tier: scalar unpack + vectorized fusion stages.
-// ---------------------------------------------------------------------
-
-fn for32_sse41(packed: &[u32], b: u32, base: u32, out: &mut [u32]) {
-    crate::fused::unpack_scalar(packed, b, out);
-    // SAFETY: this driver is only installed when SSE4.1 is detected.
-    unsafe { add_base32_sse(base, out) }
-}
-
-#[target_feature(enable = "sse4.1")]
-fn add_base32_sse(base: u32, out: &mut [u32]) {
-    let vb = _mm_set1_epi32(base as i32);
-    let chunks = out.len() / 4;
-    for c in 0..chunks {
-        let p = out.as_mut_ptr().wrapping_add(4 * c).cast::<__m128i>();
-        // SAFETY: lanes 4c..4c+4 are within `out` (c < chunks).
-        unsafe { _mm_storeu_si128(p, _mm_add_epi32(_mm_loadu_si128(p), vb)) };
-    }
-    for o in &mut out[4 * chunks..] {
-        *o = base.wrapping_add(*o);
-    }
-}
-
-fn for64_sse41(packed: &[u32], b: u32, base: u64, out: &mut [u64]) {
-    if b == 0 {
-        out.fill(base);
-        return;
-    }
-    let kernel = crate::group::UNPACK[b as usize];
-    let wpg = b as usize;
-    let full = out.len() / GROUP;
-    let mut tmp = [0u32; GROUP];
-    for g in 0..full {
-        kernel(&packed[g * wpg..(g + 1) * wpg], &mut tmp);
-        // SAFETY: this driver is only installed when SSE4.1 is detected.
-        unsafe { widen_add_group_sse(&tmp, base, &mut out[g * GROUP..(g + 1) * GROUP]) };
-    }
-    if full * GROUP < out.len() {
-        crate::fused::for64_scalar(&packed[full * wpg..], b, base, &mut out[full * GROUP..]);
-    }
-}
-
-#[target_feature(enable = "sse4.1")]
-fn widen_add_group_sse(tmp: &[u32; GROUP], base: u64, out: &mut [u64]) {
-    debug_assert_eq!(out.len(), GROUP);
-    let vb = _mm_set1_epi64x(base as i64);
-    for c in 0..(GROUP / 4) {
-        // SAFETY: reads lanes 4c..4c+4 of `tmp` and writes the matching
-        // 4 u64 lanes of `out`; both have GROUP elements.
-        unsafe {
-            let v = _mm_loadu_si128(tmp.as_ptr().add(4 * c).cast());
-            let lo = _mm_cvtepu32_epi64(v);
-            let hi = _mm_cvtepu32_epi64(_mm_srli_si128::<8>(v));
-            let p = out.as_mut_ptr().add(4 * c);
-            _mm_storeu_si128(p.cast(), _mm_add_epi64(lo, vb));
-            _mm_storeu_si128(p.add(2).cast(), _mm_add_epi64(hi, vb));
-        }
-    }
-}
-
-fn delta32_sse41(packed: &[u32], b: u32, delta_base: u32, seed: u32, out: &mut [u32]) {
-    crate::fused::unpack_scalar(packed, b, out);
-    // SAFETY: this driver is only installed when SSE4.1 is detected.
-    unsafe { delta_post32_sse(delta_base, seed, out) }
-}
-
-#[target_feature(enable = "sse4.1")]
-fn delta_post32_sse(delta_base: u32, seed: u32, out: &mut [u32]) {
-    let vdb = _mm_set1_epi32(delta_base as i32);
-    let mut carry = _mm_set1_epi32(seed as i32);
-    let chunks = out.len() / 4;
-    for c in 0..chunks {
-        let p = out.as_mut_ptr().wrapping_add(4 * c).cast::<__m128i>();
-        // SAFETY: lanes 4c..4c+4 are within `out` (c < chunks).
-        let mut x = unsafe { _mm_loadu_si128(p) };
-        x = _mm_add_epi32(x, vdb);
-        x = _mm_add_epi32(x, _mm_slli_si128::<4>(x));
-        x = _mm_add_epi32(x, _mm_slli_si128::<8>(x));
-        x = _mm_add_epi32(x, carry);
-        // SAFETY: same bounds as the load.
-        unsafe { _mm_storeu_si128(p, x) };
-        carry = _mm_shuffle_epi32::<0xFF>(x);
-    }
-    let mut acc = if chunks > 0 { out[4 * chunks - 1] } else { seed };
-    for o in &mut out[4 * chunks..] {
-        acc = acc.wrapping_add(delta_base.wrapping_add(*o));
-        *o = acc;
-    }
-}
-
-fn delta64_sse41(packed: &[u32], b: u32, delta_base: u64, seed: u64, out: &mut [u64]) {
-    if b == 0 {
-        // All codes are zero: a pure arithmetic progression.
-        let mut acc = seed;
-        for o in out.iter_mut() {
-            acc = acc.wrapping_add(delta_base);
-            *o = acc;
-        }
-        return;
-    }
-    let kernel = crate::group::UNPACK[b as usize];
-    let wpg = b as usize;
-    let full = out.len() / GROUP;
-    let mut tmp = [0u32; GROUP];
-    let mut acc = seed;
-    for g in 0..full {
-        kernel(&packed[g * wpg..(g + 1) * wpg], &mut tmp);
-        // SAFETY: this driver is only installed when SSE4.1 is detected.
-        acc = unsafe {
-            delta64_group_sse(&tmp, delta_base, acc, &mut out[g * GROUP..(g + 1) * GROUP])
-        };
-    }
-    if full * GROUP < out.len() {
-        crate::fused::delta64_scalar(
-            &packed[full * wpg..],
-            b,
-            delta_base,
-            acc,
-            &mut out[full * GROUP..],
-        );
-    }
-}
-
-#[target_feature(enable = "sse4.1")]
-fn delta64_group_sse(tmp: &[u32; GROUP], delta_base: u64, seed: u64, out: &mut [u64]) -> u64 {
-    debug_assert_eq!(out.len(), GROUP);
-    let vdb = _mm_set1_epi64x(delta_base as i64);
-    let mut carry = _mm_set1_epi64x(seed as i64);
-    for c in 0..(GROUP / 4) {
-        // SAFETY: reads lanes 4c..4c+4 of `tmp`, writes the matching 4
-        // u64 lanes of `out`; both have GROUP elements.
-        unsafe {
-            let v = _mm_loadu_si128(tmp.as_ptr().add(4 * c).cast());
-            let mut lo = _mm_add_epi64(_mm_cvtepu32_epi64(v), vdb);
-            lo = _mm_add_epi64(lo, _mm_slli_si128::<8>(lo));
-            lo = _mm_add_epi64(lo, carry);
-            carry = _mm_shuffle_epi32::<0xEE>(lo);
-            let mut hi = _mm_add_epi64(_mm_cvtepu32_epi64(_mm_srli_si128::<8>(v)), vdb);
-            hi = _mm_add_epi64(hi, _mm_slli_si128::<8>(hi));
-            hi = _mm_add_epi64(hi, carry);
-            carry = _mm_shuffle_epi32::<0xEE>(hi);
-            let p = out.as_mut_ptr().add(4 * c);
-            _mm_storeu_si128(p.cast(), lo);
-            _mm_storeu_si128(p.add(2).cast(), hi);
-        }
-    }
-    out[GROUP - 1]
-}
-
-fn prefix_sum32_sse41(out: &mut [u32], seed: u32) {
-    // SAFETY: this driver is only installed when SSE4.1 is detected.
-    unsafe { delta_post32_sse_zero(seed, out) }
-}
-
-#[target_feature(enable = "sse4.1")]
-fn delta_post32_sse_zero(seed: u32, out: &mut [u32]) {
-    // delta_base = 0 specializes delta_post32_sse into a prefix sum.
-    delta_post32_sse(0, seed, out)
-}
-
-fn prefix_sum64_sse41(out: &mut [u64], seed: u64) {
-    // SAFETY: this driver is only installed when SSE4.1 is detected.
-    unsafe { prefix_sum64_sse_impl(seed, out) }
-}
-
-#[target_feature(enable = "sse4.1")]
-fn prefix_sum64_sse_impl(seed: u64, out: &mut [u64]) {
-    let mut carry = _mm_set1_epi64x(seed as i64);
-    let chunks = out.len() / 2;
-    for c in 0..chunks {
-        let p = out.as_mut_ptr().wrapping_add(2 * c).cast::<__m128i>();
-        // SAFETY: lanes 2c..2c+2 are within `out` (c < chunks).
-        let mut x = unsafe { _mm_loadu_si128(p) };
-        x = _mm_add_epi64(x, _mm_slli_si128::<8>(x));
-        x = _mm_add_epi64(x, carry);
-        // SAFETY: same bounds as the load.
-        unsafe { _mm_storeu_si128(p, x) };
-        carry = _mm_shuffle_epi32::<0xEE>(x);
-    }
-    let mut acc = if chunks > 0 { out[2 * chunks - 1] } else { seed };
-    for o in &mut out[2 * chunks..] {
-        acc = acc.wrapping_add(*o);
-        *o = acc;
-    }
-}
-
-pub(crate) static SSE41: Driver = Driver {
-    class: KernelClass::Sse41,
-    pack: crate::vsimd::pack_x86,
-    unpack: crate::fused::unpack_scalar,
-    unpack_for32: for32_sse41,
-    unpack_for64: for64_sse41,
-    unpack_delta32: delta32_sse41,
-    unpack_delta64: delta64_sse41,
-    prefix_sum32: prefix_sum32_sse41,
-    prefix_sum64: prefix_sum64_sse41,
-    cmp_range: cmp_range_sse41,
-    // Scalar unpack + scalar membership: identical work to the scalar
-    // tier (SSE4.1 has no gather to speed the lookup).
-    cmp_in_set: crate::cmp::cmp_in_set_scalar,
-    vert: &crate::vsimd::VERT_SSE41,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{available, kernels_for};
+    use crate::kernel::{available, kernels_for, KernelClass};
     use crate::{mask, pack_vec, packed_words};
 
     fn codes(n: usize, b: u32, salt: u32) -> Vec<u32> {

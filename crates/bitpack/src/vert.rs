@@ -33,8 +33,8 @@
 //!
 //! Entry points mirror the crate root / `fused` API and dispatch through
 //! the same runtime kernel table (`SCC_KERNEL` override included); the
-//! scalar reference implementations live here, the SSE4.1/AVX2 tiers in
-//! `vsimd.rs`.
+//! scalar reference implementations live here, the one SIMD set (shared
+//! by the `sse41` and `avx2` classes) in `vsimd.rs`.
 
 use crate::kernel;
 use crate::{check_unpack, mask, packed_words, UnpackError, GROUP};
@@ -198,7 +198,13 @@ pub(crate) fn vprefix_sum64_scalar(out: &mut [u64], seeds: &[u64; 4]) {
     }
 }
 
-pub(crate) fn vdelta32_scalar(packed: &[u32], b: u32, delta_base: u32, seeds: &[u32; 4], out: &mut [u32]) {
+pub(crate) fn vdelta32_scalar(
+    packed: &[u32],
+    b: u32,
+    delta_base: u32,
+    seeds: &[u32; 4],
+    out: &mut [u32],
+) {
     vunpack_scalar(packed, b, out);
     let mut s = *seeds;
     for (i, o) in out.iter_mut().enumerate() {
@@ -208,7 +214,13 @@ pub(crate) fn vdelta32_scalar(packed: &[u32], b: u32, delta_base: u32, seeds: &[
     }
 }
 
-pub(crate) fn vdelta64_scalar(packed: &[u32], b: u32, delta_base: u64, seeds: &[u64; 4], out: &mut [u64]) {
+pub(crate) fn vdelta64_scalar(
+    packed: &[u32],
+    b: u32,
+    delta_base: u64,
+    seeds: &[u64; 4],
+    out: &mut [u64],
+) {
     let mut tmp = [0u32; BLOCK];
     let wpb = words_per_block(b);
     let full = out.len() / BLOCK;
@@ -299,7 +311,14 @@ pub(crate) fn vcmp_in_set_with(
     }
 }
 
-pub(crate) fn vcmp_range_scalar(packed: &[u32], b: u32, lo: u32, hi: u32, negate: bool, out: &mut [bool]) {
+pub(crate) fn vcmp_range_scalar(
+    packed: &[u32],
+    b: u32,
+    lo: u32,
+    hi: u32,
+    negate: bool,
+    out: &mut [bool],
+) {
     vcmp_range_with(vunpack_scalar, packed, b, lo, hi, negate, out);
 }
 
@@ -462,9 +481,9 @@ mod tests {
         // is physical word 4w + l.
         let c = codes(BLOCK, 32, 7);
         let packed = pack_vec(&c, 32);
-        for local in 0..BLOCK {
+        for (local, &want) in c.iter().enumerate() {
             let (lane, row) = (local % 4, local / 4);
-            assert_eq!(packed[4 * row + lane], c[local], "value {local}");
+            assert_eq!(packed[4 * row + lane], want, "value {local}");
         }
     }
 

@@ -1,4 +1,5 @@
-//! SIMD tiers for the vertical layout (see `vert.rs` for the layout).
+//! The SIMD kernel set for the vertical layout (see `vert.rs` for the
+//! layout).
 //!
 //! The vertical layout was designed for exactly these kernels: the four
 //! lane streams interleave word-wise, so physical words `4w..4w+4` of a
@@ -10,23 +11,16 @@
 //! block's own `4*b` words, so there is no scalar bow-out on
 //! exact-length slices and all widths 1..=32 vectorize).
 //!
-//! The AVX2 tier additionally processes **pairs of blocks**: lanes 0..3
-//! of a 256-bit vector walk block `k` while lanes 4..7 walk block `k+1`
-//! (two 128-bit loads, one set of shifts, two 128-bit stores), halving
-//! the arithmetic per value. DELTA stays on 128-bit vectors because the
-//! lane accumulators chain sequentially across blocks; its prefix sum is
-//! one `paddd` per 4 values.
+//! There is one kernel set: four 32-bit lanes are natively one 128-bit
+//! register, so the `sse41` and `avx2` classes share these `sse4.1`
+//! routines (`kernel.rs` holds the table). DELTA's lane accumulators
+//! chain sequentially across blocks; its prefix sum is one `paddd` per 4
+//! values.
 //!
 //! Packing runs the inverse sequence (`acc |= v << bits`, flush full
-//! words) and vectorizes for every width too. The *horizontal* pack
-//! ([`pack_x86`]) vectorizes only the byte-aligned widths via saturating
-//! narrows — a general horizontal SIMD pack needs cross-lane scatters
-//! that cost more than they save, so other widths keep the scalar group
-//! kernels.
+//! words) and vectorizes for every width too.
 
-use crate::kernel::VertOps;
 use crate::vert::{words_per_block, BLOCK, VCMP_CHUNK};
-use crate::GROUP;
 use core::arch::x86_64::*;
 
 /// Broadcast shift-count register (`sse2` is x86-64 baseline; both SIMD
@@ -66,37 +60,6 @@ macro_rules! vrow128 {
     }};
 }
 
-/// Two-block row: lanes 0..3 from the block at `$b0`, lanes 4..7 from
-/// the block at `$b1`, same constant offsets as [`vrow128!`].
-macro_rules! vrow256 {
-    ($B:ident, $b0:ident, $b1:ident, $msk:ident, $v:ident, $row:ident, $body:block, $r:literal) => {{
-        let $row: usize = $r;
-        let off = ($r as u32 * $B) % 32;
-        let w = (($r as u32 * $B) / 32) as usize;
-        // SAFETY: as in `vrow128!`, for each of the two blocks.
-        let lo = unsafe {
-            _mm256_set_m128i(
-                _mm_loadu_si128($b1.wrapping_add(4 * w).cast()),
-                _mm_loadu_si128($b0.wrapping_add(4 * w).cast()),
-            )
-        };
-        let x = if off + $B <= 32 {
-            _mm256_srl_epi32(lo, cnt(off))
-        } else {
-            // SAFETY: straddle high word w+1 <= B-1 is in-block.
-            let hi = unsafe {
-                _mm256_set_m128i(
-                    _mm_loadu_si128($b1.wrapping_add(4 * (w + 1)).cast()),
-                    _mm_loadu_si128($b0.wrapping_add(4 * (w + 1)).cast()),
-                )
-            };
-            _mm256_or_si256(_mm256_srl_epi32(lo, cnt(off)), _mm256_sll_epi32(hi, cnt(32 - off)))
-        };
-        let $v = _mm256_and_si256(x, $msk);
-        $body
-    }};
-}
-
 /// Expands `$m!(.. , r)` for every row literal 0..32 — manual full
 /// unroll (see [`vrow128!`] for why the rolled loop was not enough).
 macro_rules! unroll_rows {
@@ -120,47 +83,15 @@ macro_rules! vpackrow128 {
     ($B:ident, $inp:ident, $op:ident, $msk:ident, $acc:ident, $r:literal) => {{
         let off = ($r as u32 * $B) % 32;
         // SAFETY: reads lanes 4r..4r+4 of the caller's 128-value block.
-        let v = _mm_and_si128(
-            unsafe { _mm_loadu_si128($inp.wrapping_add(4 * $r).cast()) },
-            $msk,
-        );
+        let v = _mm_and_si128(unsafe { _mm_loadu_si128($inp.wrapping_add(4 * $r).cast()) }, $msk);
         $acc = _mm_or_si128($acc, _mm_sll_epi32(v, cnt(off)));
         if off + $B >= 32 {
             let w = (($r as u32 * $B) / 32) as usize;
             // SAFETY: row r fills lane word w < B, inside the block's
             // 4*B words.
             unsafe { _mm_storeu_si128($op.wrapping_add(4 * w).cast(), $acc) };
-            $acc = if off + $B > 32 { _mm_srl_epi32(v, cnt(32 - off)) } else { _mm_setzero_si128() };
-        }
-    }};
-}
-
-/// Two-block pack row (lanes 0..3 from `$i0`/to `$o0`, 4..7 from
-/// `$i1`/to `$o1`).
-macro_rules! vpackrow256 {
-    ($B:ident, $i0:ident, $i1:ident, $o0:ident, $o1:ident, $msk:ident, $acc:ident, $r:literal) => {{
-        let off = ($r as u32 * $B) % 32;
-        // SAFETY: reads lanes 4r..4r+4 of each input block.
-        let v = unsafe {
-            _mm256_set_m128i(
-                _mm_loadu_si128($i1.wrapping_add(4 * $r).cast()),
-                _mm_loadu_si128($i0.wrapping_add(4 * $r).cast()),
-            )
-        };
-        let v = _mm256_and_si256(v, $msk);
-        $acc = _mm256_or_si256($acc, _mm256_sll_epi32(v, cnt(off)));
-        if off + $B >= 32 {
-            let w = (($r as u32 * $B) / 32) as usize;
-            // SAFETY: flushes lane word w < B of each output block.
-            unsafe {
-                _mm_storeu_si128($o0.wrapping_add(4 * w).cast(), _mm256_castsi256_si128($acc));
-                _mm_storeu_si128($o1.wrapping_add(4 * w).cast(), _mm256_extracti128_si256::<1>($acc));
-            }
-            $acc = if off + $B > 32 {
-                _mm256_srl_epi32(v, cnt(32 - off))
-            } else {
-                _mm256_setzero_si256()
-            };
+            $acc =
+                if off + $B > 32 { _mm_srl_epi32(v, cnt(32 - off)) } else { _mm_setzero_si128() };
         }
     }};
 }
@@ -172,15 +103,6 @@ macro_rules! vblock128 {
     ($B:ident, $base:ident, $v:ident, $row:ident, $body:block) => {{
         let msk = _mm_set1_epi32(crate::mask($B) as i32);
         unroll_rows!(vrow128!($B, $base, msk, $v, $row, $body));
-    }};
-}
-
-/// Two-block variant: lanes 0..3 walk the block at `$b0`, lanes 4..7
-/// the block at `$b1`.
-macro_rules! vblock256 {
-    ($B:ident, $b0:ident, $b1:ident, $v:ident, $row:ident, $body:block) => {{
-        let msk = _mm256_set1_epi32(crate::mask($B) as i32);
-        unroll_rows!(vrow256!($B, $b0, $b1, msk, $v, $row, $body));
     }};
 }
 
@@ -224,221 +146,129 @@ macro_rules! by_width32 {
     };
 }
 
-/// Generates the six 128-bit per-width workers for one feature tier;
-/// instantiated for `sse4.1` (the SSE4.1 tier) and `avx2` (VEX-encoded,
-/// used by the AVX2 tier for odd trailing blocks and DELTA).
-macro_rules! vert_workers_128 {
-    ($feat:literal, $unpack:ident, $for32:ident, $for64:ident, $delta32:ident, $delta64:ident,
-     $pack:ident) => {
-        /// Unpacks vertical blocks `k0..k1`.
-        #[target_feature(enable = $feat)]
-        fn $unpack<const B: u32>(packed: &[u32], out: &mut [u32], k0: usize, k1: usize) {
-            let wpb = 4 * B as usize;
-            for k in k0..k1 {
-                let base = packed.as_ptr().wrapping_add(k * wpb);
-                let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
-                vblock128!(B, base, v, row, {
-                    // SAFETY: writes out[k*BLOCK + 4*row ..][..4]; k < k1
-                    // <= out.len()/BLOCK.
-                    unsafe { _mm_storeu_si128(op.wrapping_add(4 * row).cast(), v) };
-                });
-            }
-        }
-
-        /// Fused unpack + FOR add over vertical blocks `k0..k1`.
-        #[target_feature(enable = $feat)]
-        fn $for32<const B: u32>(packed: &[u32], base: u32, out: &mut [u32], k0: usize, k1: usize) {
-            let wpb = 4 * B as usize;
-            let vb = _mm_set1_epi32(base as i32);
-            for k in k0..k1 {
-                let bp = packed.as_ptr().wrapping_add(k * wpb);
-                let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
-                vblock128!(B, bp, v, row, {
-                    // SAFETY: writes out[k*BLOCK + 4*row ..][..4].
-                    unsafe {
-                        _mm_storeu_si128(op.wrapping_add(4 * row).cast(), _mm_add_epi32(v, vb))
-                    };
-                });
-            }
-        }
-
-        /// Fused unpack + FOR add with 64-bit widening, blocks `k0..k1`.
-        #[target_feature(enable = $feat)]
-        fn $for64<const B: u32>(packed: &[u32], base: u64, out: &mut [u64], k0: usize, k1: usize) {
-            let wpb = 4 * B as usize;
-            let vb = _mm_set1_epi64x(base as i64);
-            for k in k0..k1 {
-                let bp = packed.as_ptr().wrapping_add(k * wpb);
-                let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
-                vblock128!(B, bp, v, row, {
-                    let lo = _mm_cvtepu32_epi64(v);
-                    let hi = _mm_cvtepu32_epi64(_mm_srli_si128::<8>(v));
-                    // SAFETY: writes out[k*BLOCK + 4*row ..][..4] u64s.
-                    unsafe {
-                        let p = op.wrapping_add(4 * row);
-                        _mm_storeu_si128(p.cast(), _mm_add_epi64(lo, vb));
-                        _mm_storeu_si128(p.wrapping_add(2).cast(), _mm_add_epi64(hi, vb));
-                    }
-                });
-            }
-        }
-
-        /// Fused unpack + lane-stride delta over blocks `0..full`; the
-        /// accumulator vector *is* the 4-lane SIMD prefix sum.
-        #[target_feature(enable = $feat)]
-        fn $delta32<const B: u32>(
-            packed: &[u32],
-            db: u32,
-            seeds: &[u32; 4],
-            out: &mut [u32],
-            full: usize,
-        ) {
-            let wpb = 4 * B as usize;
-            let vdb = _mm_set1_epi32(db as i32);
-            // SAFETY: seeds has exactly 4 lanes.
-            let mut acc = unsafe { _mm_loadu_si128(seeds.as_ptr().cast()) };
-            for k in 0..full {
-                let bp = packed.as_ptr().wrapping_add(k * wpb);
-                let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
-                vblock128!(B, bp, v, row, {
-                    acc = _mm_add_epi32(acc, _mm_add_epi32(v, vdb));
-                    // SAFETY: writes out[k*BLOCK + 4*row ..][..4].
-                    unsafe { _mm_storeu_si128(op.wrapping_add(4 * row).cast(), acc) };
-                });
-            }
-        }
-
-        /// 64-bit lane-stride delta over blocks `0..full`.
-        #[target_feature(enable = $feat)]
-        fn $delta64<const B: u32>(
-            packed: &[u32],
-            db: u64,
-            seeds: &[u64; 4],
-            out: &mut [u64],
-            full: usize,
-        ) {
-            let wpb = 4 * B as usize;
-            let vdb = _mm_set1_epi64x(db as i64);
-            // SAFETY: seeds has exactly 4 lanes (2 per vector).
-            let mut acc0 = unsafe { _mm_loadu_si128(seeds.as_ptr().cast()) };
-            let mut acc1 = unsafe { _mm_loadu_si128(seeds.as_ptr().wrapping_add(2).cast()) };
-            for k in 0..full {
-                let bp = packed.as_ptr().wrapping_add(k * wpb);
-                let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
-                vblock128!(B, bp, v, row, {
-                    let lo = _mm_add_epi64(_mm_cvtepu32_epi64(v), vdb);
-                    let hi = _mm_add_epi64(_mm_cvtepu32_epi64(_mm_srli_si128::<8>(v)), vdb);
-                    acc0 = _mm_add_epi64(acc0, lo);
-                    acc1 = _mm_add_epi64(acc1, hi);
-                    // SAFETY: writes out[k*BLOCK + 4*row ..][..4] u64s.
-                    unsafe {
-                        let p = op.wrapping_add(4 * row);
-                        _mm_storeu_si128(p.cast(), acc0);
-                        _mm_storeu_si128(p.wrapping_add(2).cast(), acc1);
-                    }
-                });
-            }
-        }
-
-        /// Packs vertical blocks `k0..k1` (inverse of the unpack walk).
-        #[target_feature(enable = $feat)]
-        fn $pack<const B: u32>(values: &[u32], out: &mut [u32], k0: usize, k1: usize) {
-            let wpb = 4 * B as usize;
-            let msk = _mm_set1_epi32(crate::mask(B) as i32);
-            for k in k0..k1 {
-                let inp = values.as_ptr().wrapping_add(k * BLOCK);
-                let op = out.as_mut_ptr().wrapping_add(k * wpb);
-                let mut acc = _mm_setzero_si128();
-                unroll_rows!(vpackrow128!(B, inp, op, msk, acc));
-            }
-        }
-    };
-}
-
-vert_workers_128!("sse4.1", w_vunpack_sse, w_vfor32_sse, w_vfor64_sse, w_vdelta32_sse,
-    w_vdelta64_sse, w_vpack_sse);
-vert_workers_128!("avx2", w_vunpack_vex, w_vfor32_vex, w_vfor64_vex, w_vdelta32_vex,
-    w_vdelta64_vex, w_vpack_vex);
-
 // ---------------------------------------------------------------------
-// AVX2 block-pair workers (lanes 0..3 = block 2p, lanes 4..7 = 2p+1).
+// Per-width workers. The layout is four 32-bit lanes, natively one
+// 128-bit register, so this one `sse4.1` set serves both SIMD classes.
 // ---------------------------------------------------------------------
 
-/// Unpacks block pairs covering blocks `0..k1` (`k1` even).
-#[target_feature(enable = "avx2")]
-fn w_vunpack_pair<const B: u32>(packed: &[u32], out: &mut [u32], k1: usize) {
+/// Unpacks vertical blocks `0..full`.
+#[target_feature(enable = "sse4.1")]
+fn w_vunpack_sse<const B: u32>(packed: &[u32], out: &mut [u32], full: usize) {
     let wpb = 4 * B as usize;
-    for p in 0..k1 / 2 {
-        let b0 = packed.as_ptr().wrapping_add(2 * p * wpb);
-        let b1 = packed.as_ptr().wrapping_add((2 * p + 1) * wpb);
-        let o0 = out.as_mut_ptr().wrapping_add(2 * p * BLOCK);
-        let o1 = out.as_mut_ptr().wrapping_add((2 * p + 1) * BLOCK);
-        vblock256!(B, b0, b1, v, row, {
-            // SAFETY: each store writes 4 lanes of one of the two
-            // blocks' rows; both blocks are < k1 <= out.len()/BLOCK.
+    for k in 0..full {
+        let base = packed.as_ptr().wrapping_add(k * wpb);
+        let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
+        vblock128!(B, base, v, row, {
+            // SAFETY: writes out[k*BLOCK + 4*row ..][..4]; k < full
+            // <= out.len()/BLOCK.
+            unsafe { _mm_storeu_si128(op.wrapping_add(4 * row).cast(), v) };
+        });
+    }
+}
+
+/// Fused unpack + FOR add over vertical blocks `0..full`.
+#[target_feature(enable = "sse4.1")]
+fn w_vfor32_sse<const B: u32>(packed: &[u32], base: u32, out: &mut [u32], full: usize) {
+    let wpb = 4 * B as usize;
+    let vb = _mm_set1_epi32(base as i32);
+    for k in 0..full {
+        let bp = packed.as_ptr().wrapping_add(k * wpb);
+        let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
+        vblock128!(B, bp, v, row, {
+            // SAFETY: writes out[k*BLOCK + 4*row ..][..4].
+            unsafe { _mm_storeu_si128(op.wrapping_add(4 * row).cast(), _mm_add_epi32(v, vb)) };
+        });
+    }
+}
+
+/// Fused unpack + FOR add with 64-bit widening, blocks `0..full`.
+#[target_feature(enable = "sse4.1")]
+fn w_vfor64_sse<const B: u32>(packed: &[u32], base: u64, out: &mut [u64], full: usize) {
+    let wpb = 4 * B as usize;
+    let vb = _mm_set1_epi64x(base as i64);
+    for k in 0..full {
+        let bp = packed.as_ptr().wrapping_add(k * wpb);
+        let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
+        vblock128!(B, bp, v, row, {
+            let lo = _mm_cvtepu32_epi64(v);
+            let hi = _mm_cvtepu32_epi64(_mm_srli_si128::<8>(v));
+            // SAFETY: writes out[k*BLOCK + 4*row ..][..4] u64s.
             unsafe {
-                _mm_storeu_si128(o0.wrapping_add(4 * row).cast(), _mm256_castsi256_si128(v));
-                _mm_storeu_si128(o1.wrapping_add(4 * row).cast(), _mm256_extracti128_si256::<1>(v));
+                let p = op.wrapping_add(4 * row);
+                _mm_storeu_si128(p.cast(), _mm_add_epi64(lo, vb));
+                _mm_storeu_si128(p.wrapping_add(2).cast(), _mm_add_epi64(hi, vb));
             }
         });
     }
 }
 
-/// Fused pair unpack + FOR add covering blocks `0..k1` (`k1` even).
-#[target_feature(enable = "avx2")]
-fn w_vfor32_pair<const B: u32>(packed: &[u32], base: u32, out: &mut [u32], k1: usize) {
+/// Fused unpack + lane-stride delta over blocks `0..full`; the
+/// accumulator vector *is* the 4-lane SIMD prefix sum.
+#[target_feature(enable = "sse4.1")]
+fn w_vdelta32_sse<const B: u32>(
+    packed: &[u32],
+    db: u32,
+    seeds: &[u32; 4],
+    out: &mut [u32],
+    full: usize,
+) {
     let wpb = 4 * B as usize;
-    let vb = _mm256_set1_epi32(base as i32);
-    for p in 0..k1 / 2 {
-        let b0 = packed.as_ptr().wrapping_add(2 * p * wpb);
-        let b1 = packed.as_ptr().wrapping_add((2 * p + 1) * wpb);
-        let o0 = out.as_mut_ptr().wrapping_add(2 * p * BLOCK);
-        let o1 = out.as_mut_ptr().wrapping_add((2 * p + 1) * BLOCK);
-        vblock256!(B, b0, b1, v, row, {
-            let s = _mm256_add_epi32(v, vb);
-            // SAFETY: as in `w_vunpack_pair`.
+    let vdb = _mm_set1_epi32(db as i32);
+    // SAFETY: seeds has exactly 4 lanes.
+    let mut acc = unsafe { _mm_loadu_si128(seeds.as_ptr().cast()) };
+    for k in 0..full {
+        let bp = packed.as_ptr().wrapping_add(k * wpb);
+        let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
+        vblock128!(B, bp, v, row, {
+            acc = _mm_add_epi32(acc, _mm_add_epi32(v, vdb));
+            // SAFETY: writes out[k*BLOCK + 4*row ..][..4].
+            unsafe { _mm_storeu_si128(op.wrapping_add(4 * row).cast(), acc) };
+        });
+    }
+}
+
+/// 64-bit lane-stride delta over blocks `0..full`.
+#[target_feature(enable = "sse4.1")]
+fn w_vdelta64_sse<const B: u32>(
+    packed: &[u32],
+    db: u64,
+    seeds: &[u64; 4],
+    out: &mut [u64],
+    full: usize,
+) {
+    let wpb = 4 * B as usize;
+    let vdb = _mm_set1_epi64x(db as i64);
+    // SAFETY: seeds has exactly 4 lanes (2 per vector).
+    let mut acc0 = unsafe { _mm_loadu_si128(seeds.as_ptr().cast()) };
+    let mut acc1 = unsafe { _mm_loadu_si128(seeds.as_ptr().wrapping_add(2).cast()) };
+    for k in 0..full {
+        let bp = packed.as_ptr().wrapping_add(k * wpb);
+        let op = out.as_mut_ptr().wrapping_add(k * BLOCK);
+        vblock128!(B, bp, v, row, {
+            let lo = _mm_add_epi64(_mm_cvtepu32_epi64(v), vdb);
+            let hi = _mm_add_epi64(_mm_cvtepu32_epi64(_mm_srli_si128::<8>(v)), vdb);
+            acc0 = _mm_add_epi64(acc0, lo);
+            acc1 = _mm_add_epi64(acc1, hi);
+            // SAFETY: writes out[k*BLOCK + 4*row ..][..4] u64s.
             unsafe {
-                _mm_storeu_si128(o0.wrapping_add(4 * row).cast(), _mm256_castsi256_si128(s));
-                _mm_storeu_si128(o1.wrapping_add(4 * row).cast(), _mm256_extracti128_si256::<1>(s));
+                let p = op.wrapping_add(4 * row);
+                _mm_storeu_si128(p.cast(), acc0);
+                _mm_storeu_si128(p.wrapping_add(2).cast(), acc1);
             }
         });
     }
 }
 
-/// Fused pair unpack + 64-bit FOR covering blocks `0..k1` (`k1` even).
-#[target_feature(enable = "avx2")]
-fn w_vfor64_pair<const B: u32>(packed: &[u32], base: u64, out: &mut [u64], k1: usize) {
+/// Packs vertical blocks `0..full` (inverse of the unpack walk).
+#[target_feature(enable = "sse4.1")]
+fn w_vpack_sse<const B: u32>(values: &[u32], out: &mut [u32], full: usize) {
     let wpb = 4 * B as usize;
-    let vb = _mm256_set1_epi64x(base as i64);
-    for p in 0..k1 / 2 {
-        let b0 = packed.as_ptr().wrapping_add(2 * p * wpb);
-        let b1 = packed.as_ptr().wrapping_add((2 * p + 1) * wpb);
-        let o0 = out.as_mut_ptr().wrapping_add(2 * p * BLOCK);
-        let o1 = out.as_mut_ptr().wrapping_add((2 * p + 1) * BLOCK);
-        vblock256!(B, b0, b1, v, row, {
-            let lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(v));
-            let hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(v));
-            // SAFETY: writes 4 u64 lanes of each block's row.
-            unsafe {
-                _mm256_storeu_si256(o0.wrapping_add(4 * row).cast(), _mm256_add_epi64(lo, vb));
-                _mm256_storeu_si256(o1.wrapping_add(4 * row).cast(), _mm256_add_epi64(hi, vb));
-            }
-        });
-    }
-}
-
-/// Packs block pairs covering blocks `0..k1` (`k1` even).
-#[target_feature(enable = "avx2")]
-fn w_vpack_pair<const B: u32>(values: &[u32], out: &mut [u32], k1: usize) {
-    let wpb = 4 * B as usize;
-    let msk = _mm256_set1_epi32(crate::mask(B) as i32);
-    for p in 0..k1 / 2 {
-        let i0 = values.as_ptr().wrapping_add(2 * p * BLOCK);
-        let i1 = values.as_ptr().wrapping_add((2 * p + 1) * BLOCK);
-        let o0 = out.as_mut_ptr().wrapping_add(2 * p * wpb);
-        let o1 = out.as_mut_ptr().wrapping_add((2 * p + 1) * wpb);
-        let mut acc = _mm256_setzero_si256();
-        unroll_rows!(vpackrow256!(B, i0, i1, o0, o1, msk, acc));
+    let msk = _mm_set1_epi32(crate::mask(B) as i32);
+    for k in 0..full {
+        let inp = values.as_ptr().wrapping_add(k * BLOCK);
+        let op = out.as_mut_ptr().wrapping_add(k * wpb);
+        let mut acc = _mm_setzero_si128();
+        unroll_rows!(vpackrow128!(B, inp, op, msk, acc));
     }
 }
 
@@ -494,65 +324,29 @@ fn vprefix64_sse_impl(out: &mut [u64], seeds: &[u64; 4]) {
     }
 }
 
-#[target_feature(enable = "avx2")]
-fn vprefix64_avx2_impl(out: &mut [u64], seeds: &[u64; 4]) {
-    // SAFETY: seeds has exactly 4 lanes.
-    let mut acc = unsafe { _mm256_loadu_si256(seeds.as_ptr().cast()) };
-    let chunks = out.len() / 4;
-    for c in 0..chunks {
-        let p = out.as_mut_ptr().wrapping_add(4 * c).cast::<__m256i>();
-        // SAFETY: lanes 4c..4c+4 are within `out` (c < chunks).
-        acc = _mm256_add_epi64(acc, unsafe { _mm256_loadu_si256(p) });
-        unsafe { _mm256_storeu_si256(p, acc) };
-    }
-    let mut s = [0u64; 4];
-    // SAFETY: s has exactly 4 lanes.
-    unsafe { _mm256_storeu_si256(s.as_mut_ptr().cast(), acc) };
-    for (i, o) in out[4 * chunks..].iter_mut().enumerate() {
-        s[i & 3] = s[i & 3].wrapping_add(*o);
-        *o = s[i & 3];
-    }
-}
-
 // ---------------------------------------------------------------------
-// Safe driver entry points (installed only after feature detection).
-// b == 0 and empty inputs route to the scalar reference tier, which
-// handles them without touching SIMD.
+// Safe entry points, installed in `kernel.rs`'s table only after SSE4.1
+// is detected. b == 0 and empty inputs route to the scalar reference
+// tier, which handles them without touching SIMD.
 // ---------------------------------------------------------------------
 
-fn vunpack_sse41(packed: &[u32], b: u32, out: &mut [u32]) {
+pub(crate) fn vunpack_sse41(packed: &[u32], b: u32, out: &mut [u32]) {
     let full = out.len() / BLOCK;
     if b == 0 || full == 0 {
         return crate::vert::vunpack_scalar(packed, b, out);
     }
     // SAFETY: this driver is only installed when SSE4.1 is detected.
-    unsafe { by_width32!(b, w_vunpack_sse(packed, out, 0, full)) }
+    unsafe { by_width32!(b, w_vunpack_sse(packed, out, full)) }
     crate::fused::unpack_scalar(&packed[full * words_per_block(b)..], b, &mut out[full * BLOCK..]);
 }
 
-fn vunpack_avx2(packed: &[u32], b: u32, out: &mut [u32]) {
-    let full = out.len() / BLOCK;
-    if b == 0 || full == 0 {
-        return crate::vert::vunpack_scalar(packed, b, out);
-    }
-    let even = full & !1;
-    // SAFETY: this driver is only installed when AVX2 is detected.
-    unsafe {
-        by_width32!(b, w_vunpack_pair(packed, out, even));
-        if even < full {
-            by_width32!(b, w_vunpack_vex(packed, out, even, full));
-        }
-    }
-    crate::fused::unpack_scalar(&packed[full * words_per_block(b)..], b, &mut out[full * BLOCK..]);
-}
-
-fn vfor32_sse41(packed: &[u32], b: u32, base: u32, out: &mut [u32]) {
+pub(crate) fn vfor32_sse41(packed: &[u32], b: u32, base: u32, out: &mut [u32]) {
     let full = out.len() / BLOCK;
     if b == 0 || full == 0 {
         return crate::vert::vfor32_scalar(packed, b, base, out);
     }
     // SAFETY: this driver is only installed when SSE4.1 is detected.
-    unsafe { by_width32!(b, w_vfor32_sse(packed, base, out, 0, full)) }
+    unsafe { by_width32!(b, w_vfor32_sse(packed, base, out, full)) }
     if full * BLOCK < out.len() {
         crate::fused::for32_scalar(
             &packed[full * words_per_block(b)..],
@@ -563,59 +357,13 @@ fn vfor32_sse41(packed: &[u32], b: u32, base: u32, out: &mut [u32]) {
     }
 }
 
-fn vfor32_avx2(packed: &[u32], b: u32, base: u32, out: &mut [u32]) {
-    let full = out.len() / BLOCK;
-    if b == 0 || full == 0 {
-        return crate::vert::vfor32_scalar(packed, b, base, out);
-    }
-    let even = full & !1;
-    // SAFETY: this driver is only installed when AVX2 is detected.
-    unsafe {
-        by_width32!(b, w_vfor32_pair(packed, base, out, even));
-        if even < full {
-            by_width32!(b, w_vfor32_vex(packed, base, out, even, full));
-        }
-    }
-    if full * BLOCK < out.len() {
-        crate::fused::for32_scalar(
-            &packed[full * words_per_block(b)..],
-            b,
-            base,
-            &mut out[full * BLOCK..],
-        );
-    }
-}
-
-fn vfor64_sse41(packed: &[u32], b: u32, base: u64, out: &mut [u64]) {
+pub(crate) fn vfor64_sse41(packed: &[u32], b: u32, base: u64, out: &mut [u64]) {
     let full = out.len() / BLOCK;
     if b == 0 || full == 0 {
         return crate::vert::vfor64_scalar(packed, b, base, out);
     }
     // SAFETY: this driver is only installed when SSE4.1 is detected.
-    unsafe { by_width32!(b, w_vfor64_sse(packed, base, out, 0, full)) }
-    if full * BLOCK < out.len() {
-        crate::fused::for64_scalar(
-            &packed[full * words_per_block(b)..],
-            b,
-            base,
-            &mut out[full * BLOCK..],
-        );
-    }
-}
-
-fn vfor64_avx2(packed: &[u32], b: u32, base: u64, out: &mut [u64]) {
-    let full = out.len() / BLOCK;
-    if b == 0 || full == 0 {
-        return crate::vert::vfor64_scalar(packed, b, base, out);
-    }
-    let even = full & !1;
-    // SAFETY: this driver is only installed when AVX2 is detected.
-    unsafe {
-        by_width32!(b, w_vfor64_pair(packed, base, out, even));
-        if even < full {
-            by_width32!(b, w_vfor64_vex(packed, base, out, even, full));
-        }
-    }
+    unsafe { by_width32!(b, w_vfor64_sse(packed, base, out, full)) }
     if full * BLOCK < out.len() {
         crate::fused::for64_scalar(
             &packed[full * words_per_block(b)..],
@@ -646,7 +394,7 @@ fn tail_seeds64(out: &[u64], full: usize, seeds: &[u64; 4]) -> [u64; 4] {
     }
 }
 
-fn vdelta32_sse41(packed: &[u32], b: u32, db: u32, seeds: &[u32; 4], out: &mut [u32]) {
+pub(crate) fn vdelta32_sse41(packed: &[u32], b: u32, db: u32, seeds: &[u32; 4], out: &mut [u32]) {
     let full = out.len() / BLOCK;
     if b == 0 || full == 0 {
         return crate::vert::vdelta32_scalar(packed, b, db, seeds, out);
@@ -665,26 +413,7 @@ fn vdelta32_sse41(packed: &[u32], b: u32, db: u32, seeds: &[u32; 4], out: &mut [
     }
 }
 
-fn vdelta32_avx2(packed: &[u32], b: u32, db: u32, seeds: &[u32; 4], out: &mut [u32]) {
-    let full = out.len() / BLOCK;
-    if b == 0 || full == 0 {
-        return crate::vert::vdelta32_scalar(packed, b, db, seeds, out);
-    }
-    // SAFETY: this driver is only installed when AVX2 is detected.
-    unsafe { by_width32!(b, w_vdelta32_vex(packed, db, seeds, out, full)) }
-    if full * BLOCK < out.len() {
-        let s = tail_seeds32(out, full, seeds);
-        crate::vert::vdelta32_scalar(
-            &packed[full * words_per_block(b)..],
-            b,
-            db,
-            &s,
-            &mut out[full * BLOCK..],
-        );
-    }
-}
-
-fn vdelta64_sse41(packed: &[u32], b: u32, db: u64, seeds: &[u64; 4], out: &mut [u64]) {
+pub(crate) fn vdelta64_sse41(packed: &[u32], b: u32, db: u64, seeds: &[u64; 4], out: &mut [u64]) {
     let full = out.len() / BLOCK;
     if b == 0 || full == 0 {
         return crate::vert::vdelta64_scalar(packed, b, db, seeds, out);
@@ -703,64 +432,24 @@ fn vdelta64_sse41(packed: &[u32], b: u32, db: u64, seeds: &[u64; 4], out: &mut [
     }
 }
 
-fn vdelta64_avx2(packed: &[u32], b: u32, db: u64, seeds: &[u64; 4], out: &mut [u64]) {
-    let full = out.len() / BLOCK;
-    if b == 0 || full == 0 {
-        return crate::vert::vdelta64_scalar(packed, b, db, seeds, out);
-    }
-    // SAFETY: this driver is only installed when AVX2 is detected.
-    unsafe { by_width32!(b, w_vdelta64_vex(packed, db, seeds, out, full)) }
-    if full * BLOCK < out.len() {
-        let s = tail_seeds64(out, full, seeds);
-        crate::vert::vdelta64_scalar(
-            &packed[full * words_per_block(b)..],
-            b,
-            db,
-            &s,
-            &mut out[full * BLOCK..],
-        );
-    }
-}
-
-fn vpack_sse41(values: &[u32], b: u32, out: &mut [u32]) {
+pub(crate) fn vpack_sse41(values: &[u32], b: u32, out: &mut [u32]) {
     let full = values.len() / BLOCK;
     if b == 0 || full == 0 {
         return crate::vert::vpack_scalar(values, b, out);
     }
     // SAFETY: this driver is only installed when SSE4.1 is detected.
-    unsafe { by_width32!(b, w_vpack_sse(values, out, 0, full)) }
+    unsafe { by_width32!(b, w_vpack_sse(values, out, full)) }
     crate::pack_scalar(&values[full * BLOCK..], b, &mut out[full * words_per_block(b)..]);
 }
 
-fn vpack_avx2(values: &[u32], b: u32, out: &mut [u32]) {
-    let full = values.len() / BLOCK;
-    if b == 0 || full == 0 {
-        return crate::vert::vpack_scalar(values, b, out);
-    }
-    let even = full & !1;
-    // SAFETY: this driver is only installed when AVX2 is detected.
-    unsafe {
-        by_width32!(b, w_vpack_pair(values, out, even));
-        if even < full {
-            by_width32!(b, w_vpack_vex(values, out, even, full));
-        }
-    }
-    crate::pack_scalar(&values[full * BLOCK..], b, &mut out[full * words_per_block(b)..]);
-}
-
-fn vprefix32_sse41(out: &mut [u32], seeds: &[u32; 4]) {
+pub(crate) fn vprefix32_sse41(out: &mut [u32], seeds: &[u32; 4]) {
     // SAFETY: this driver is only installed when SSE4.1 is detected.
     unsafe { vprefix32_sse_impl(out, seeds) }
 }
 
-fn vprefix64_sse41(out: &mut [u64], seeds: &[u64; 4]) {
+pub(crate) fn vprefix64_sse41(out: &mut [u64], seeds: &[u64; 4]) {
     // SAFETY: this driver is only installed when SSE4.1 is detected.
     unsafe { vprefix64_sse_impl(out, seeds) }
-}
-
-fn vprefix64_avx2(out: &mut [u64], seeds: &[u64; 4]) {
-    // SAFETY: this driver is only installed when AVX2 is detected.
-    unsafe { vprefix64_avx2_impl(out, seeds) }
 }
 
 // ---------------------------------------------------------------------
@@ -770,7 +459,51 @@ fn vprefix64_avx2(out: &mut [u64], seeds: &[u64; 4]) {
 // multiple of BLOCK), so only the final chunk sees the horizontal tail.
 // ---------------------------------------------------------------------
 
-fn vcmp_range_sse41(packed: &[u32], b: u32, lo: u32, hi: u32, negate: bool, out: &mut [bool]) {
+/// Vectorized `lo <= c <= hi` (optionally negated) over already-unpacked
+/// codes, writing one `bool` byte per code. Unsigned order via the
+/// sign-bit bias trick (`c ^ 0x8000_0000` makes signed compares act
+/// unsigned).
+#[target_feature(enable = "sse4.1")]
+fn cmp_band_sse(codes: &[u32], lo: u32, hi: u32, negate: bool, out: &mut [bool]) {
+    let bias = _mm_set1_epi32(i32::MIN);
+    let vlo = _mm_set1_epi32((lo ^ 0x8000_0000) as i32);
+    let vhi = _mm_set1_epi32((hi ^ 0x8000_0000) as i32);
+    // `outside ^ vneg`: all-ones flips "outside" into "inside" for the
+    // plain band; zero keeps "outside" for the negated band.
+    let vneg = if negate { _mm_setzero_si128() } else { _mm_set1_epi32(-1) };
+    let one = _mm_set1_epi8(1);
+    let chunks = codes.len() / 16;
+    for c in 0..chunks {
+        let base = codes.as_ptr().wrapping_add(16 * c).cast::<__m128i>();
+        let mut r = [_mm_setzero_si128(); 4];
+        for (j, rj) in r.iter_mut().enumerate() {
+            // SAFETY: lanes 16c+4j..16c+4j+4 are within `codes`.
+            let x = _mm_xor_si128(unsafe { _mm_loadu_si128(base.wrapping_add(j)) }, bias);
+            let outside = _mm_or_si128(_mm_cmpgt_epi32(vlo, x), _mm_cmpgt_epi32(x, vhi));
+            *rj = _mm_xor_si128(outside, vneg);
+        }
+        // i32 masks -> i16 -> i8 keeps element order on SSE.
+        let p01 = _mm_packs_epi32(r[0], r[1]);
+        let p23 = _mm_packs_epi32(r[2], r[3]);
+        let bytes = _mm_and_si128(_mm_packs_epi16(p01, p23), one);
+        // SAFETY: 16 bytes at out[16c..] are within `out`; 0/1 bytes are
+        // valid `bool` representations.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr().add(16 * c).cast(), bytes) };
+    }
+    for j in 16 * chunks..codes.len() {
+        let c = codes[j];
+        out[j] = ((c >= lo) & (c <= hi)) != negate;
+    }
+}
+
+pub(crate) fn vcmp_range_sse41(
+    packed: &[u32],
+    b: u32,
+    lo: u32,
+    hi: u32,
+    negate: bool,
+    out: &mut [bool],
+) {
     if b == 0 {
         return crate::vert::vcmp_range_scalar(packed, b, lo, hi, negate, out);
     }
@@ -782,145 +515,17 @@ fn vcmp_range_sse41(packed: &[u32], b: u32, lo: u32, hi: u32, negate: bool, out:
         let len = VCMP_CHUNK.min(n - i);
         vunpack_sse41(&packed[i / BLOCK * wpb..], b, &mut buf[..len]);
         // SAFETY: this driver is only installed when SSE4.1 is detected.
-        unsafe { crate::simd::cmp_band_sse(&buf[..len], lo, hi, negate, &mut out[i..i + len]) };
+        unsafe { cmp_band_sse(&buf[..len], lo, hi, negate, &mut out[i..i + len]) };
         i += len;
     }
 }
 
-fn vcmp_range_avx2(packed: &[u32], b: u32, lo: u32, hi: u32, negate: bool, out: &mut [bool]) {
-    if b == 0 {
-        return crate::vert::vcmp_range_scalar(packed, b, lo, hi, negate, out);
-    }
-    let n = out.len();
-    let wpb = words_per_block(b);
-    let mut buf = [0u32; VCMP_CHUNK];
-    let mut i = 0usize;
-    while i < n {
-        let len = VCMP_CHUNK.min(n - i);
-        vunpack_avx2(&packed[i / BLOCK * wpb..], b, &mut buf[..len]);
-        // SAFETY: this driver is only installed when AVX2 is detected.
-        unsafe { crate::simd::cmp_band_avx2(&buf[..len], lo, hi, negate, &mut out[i..i + len]) };
-        i += len;
-    }
-}
-
-fn vcmp_in_set_sse41(packed: &[u32], b: u32, bits: &[u64], out: &mut [bool]) {
+pub(crate) fn vcmp_in_set_sse41(packed: &[u32], b: u32, bits: &[u64], out: &mut [bool]) {
     crate::vert::vcmp_in_set_with(vunpack_sse41, packed, b, bits, out);
-}
-
-fn vcmp_in_set_avx2(packed: &[u32], b: u32, bits: &[u64], out: &mut [bool]) {
-    crate::vert::vcmp_in_set_with(vunpack_avx2, packed, b, bits, out);
-}
-
-pub(crate) static VERT_SSE41: VertOps = VertOps {
-    pack: vpack_sse41,
-    unpack: vunpack_sse41,
-    for32: vfor32_sse41,
-    for64: vfor64_sse41,
-    delta32: vdelta32_sse41,
-    delta64: vdelta64_sse41,
-    prefix32: vprefix32_sse41,
-    prefix64: vprefix64_sse41,
-    cmp_range: vcmp_range_sse41,
-    cmp_in_set: vcmp_in_set_sse41,
-};
-
-pub(crate) static VERT_AVX2: VertOps = VertOps {
-    pack: vpack_avx2,
-    unpack: vunpack_avx2,
-    for32: vfor32_avx2,
-    for64: vfor64_avx2,
-    delta32: vdelta32_avx2,
-    delta64: vdelta64_avx2,
-    // The lane-stride u32 prefix is a pure 128-bit dependency chain; a
-    // 256-bit vector cannot widen it, so the AVX2 tier reuses the
-    // SSE4.1 routine (every AVX2 CPU has SSE4.1).
-    prefix32: vprefix32_sse41,
-    prefix64: vprefix64_avx2,
-    cmp_range: vcmp_range_avx2,
-    cmp_in_set: vcmp_in_set_avx2,
-};
-
-// ---------------------------------------------------------------------
-// Horizontal SIMD pack (Driver.pack for both SIMD tiers).
-// ---------------------------------------------------------------------
-
-/// Narrows 16 masked u32 values to 16 bytes (order-preserving) per
-/// iteration; exact because inputs are masked to 8 bits (the saturating
-/// packs never clip).
-#[target_feature(enable = "sse4.1")]
-fn pack8_sse(values: &[u32], out: &mut [u32]) {
-    debug_assert_eq!(values.len() % 16, 0);
-    debug_assert_eq!(out.len() * 4, values.len());
-    let msk = _mm_set1_epi32(0xFF);
-    for c in 0..values.len() / 16 {
-        let base = values.as_ptr().wrapping_add(16 * c).cast::<__m128i>();
-        // SAFETY: lanes 16c..16c+16 are within `values`.
-        let (a, b, c2, d) = unsafe {
-            (
-                _mm_and_si128(_mm_loadu_si128(base), msk),
-                _mm_and_si128(_mm_loadu_si128(base.wrapping_add(1)), msk),
-                _mm_and_si128(_mm_loadu_si128(base.wrapping_add(2)), msk),
-                _mm_and_si128(_mm_loadu_si128(base.wrapping_add(3)), msk),
-            )
-        };
-        let bytes = _mm_packus_epi16(_mm_packus_epi32(a, b), _mm_packus_epi32(c2, d));
-        // SAFETY: words 4c..4c+4 are within `out`.
-        unsafe { _mm_storeu_si128(out.as_mut_ptr().wrapping_add(4 * c).cast(), bytes) };
-    }
-}
-
-/// Narrows 8 masked u32 values to 8 u16s per iteration; exact because
-/// inputs are masked to 16 bits.
-#[target_feature(enable = "sse4.1")]
-fn pack16_sse(values: &[u32], out: &mut [u32]) {
-    debug_assert_eq!(values.len() % 8, 0);
-    debug_assert_eq!(out.len() * 2, values.len());
-    let msk = _mm_set1_epi32(0xFFFF);
-    for c in 0..values.len() / 8 {
-        let base = values.as_ptr().wrapping_add(8 * c).cast::<__m128i>();
-        // SAFETY: lanes 8c..8c+8 are within `values`.
-        let (a, b) = unsafe {
-            (
-                _mm_and_si128(_mm_loadu_si128(base), msk),
-                _mm_and_si128(_mm_loadu_si128(base.wrapping_add(1)), msk),
-            )
-        };
-        // SAFETY: words 4c..4c+4 are within `out`.
-        unsafe {
-            _mm_storeu_si128(out.as_mut_ptr().wrapping_add(4 * c).cast(), _mm_packus_epi32(a, b))
-        };
-    }
-}
-
-/// Horizontal pack for the SIMD tiers: byte-aligned widths narrow with
-/// saturating packs, width 32 is a copy, everything else keeps the
-/// scalar group kernels (see module docs).
-pub(crate) fn pack_x86(values: &[u32], b: u32, out: &mut [u32]) {
-    match b {
-        8 | 16 => {
-            let fg = values.len() / GROUP;
-            let nv = fg * GROUP;
-            let nw = fg * b as usize;
-            // SAFETY: this driver is only installed when SSE4.1+ is
-            // detected.
-            unsafe {
-                if b == 8 {
-                    pack8_sse(&values[..nv], &mut out[..nw]);
-                } else {
-                    pack16_sse(&values[..nv], &mut out[..nw]);
-                }
-            }
-            crate::pack_scalar(&values[nv..], b, &mut out[nw..]);
-        }
-        32 => out.copy_from_slice(values),
-        _ => crate::pack_scalar(values, b, out),
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::kernel::{available, kernels_for, KernelClass};
     use crate::{mask, packed_words};
 
@@ -1020,27 +625,6 @@ mod tests {
                 k.vcmp_in_set(&packed, b, &bits, &mut a);
                 scalar.vcmp_in_set(&packed, b, &bits, &mut s);
                 assert_eq!(a, s, "vcmp_in_set {class} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn horizontal_simd_pack_matches_scalar() {
-        let scalar = kernels_for(KernelClass::Scalar).unwrap();
-        for class in [KernelClass::Sse41, KernelClass::Avx2] {
-            if !available(class) {
-                continue;
-            }
-            let k = kernels_for(class).unwrap();
-            for b in 0..=32u32 {
-                for n in [0usize, 15, 16, 32, 33, 100, 256, 1000] {
-                    let c = codes(n, 32, b);
-                    let mut a = vec![0u32; packed_words(n, b)];
-                    let mut s = a.clone();
-                    k.pack(&c, b, &mut a);
-                    scalar.pack(&c, b, &mut s);
-                    assert_eq!(a, s, "pack {class} b={b} n={n}");
-                }
             }
         }
     }

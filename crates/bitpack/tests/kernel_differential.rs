@@ -337,3 +337,17 @@ fn vertical_tail_lengths_are_exact_for_every_width() {
         }
     }
 }
+
+/// A kernel-matrix leg (`SCC_KERNEL=<class> cargo test ...`) must run on
+/// the class it names: an unknown name, or a class this machine cannot
+/// execute, makes the dispatcher fall back, and the leg would otherwise
+/// pass having tested a different tier.
+#[test]
+fn forced_tier_is_the_active_tier() {
+    let Ok(v) = std::env::var("SCC_KERNEL") else {
+        return;
+    };
+    let class = KernelClass::from_name(&v)
+        .unwrap_or_else(|| panic!("SCC_KERNEL={v} names no kernel class"));
+    assert_eq!(scc_bitpack::kernel::active(), class, "SCC_KERNEL={v} was not honoured");
+}

@@ -302,42 +302,10 @@ pub fn analyze<V: Value>(sample: &[V], opts: &AnalyzeOpts) -> Analysis<V> {
     Analysis { candidates, plain_bits_per_value: w }
 }
 
-/// Picks the physical layout for newly compressed segments.
-///
-/// `SCC_LAYOUT=horizontal|vertical` forces a layout; `auto` (or unset)
-/// decides from the access-mix telemetry ([`telemetry::access_counts`]):
-/// columns with no recorded point lookups — including the common case of
-/// telemetry being disabled — and columns whose scans outnumber point
-/// lookups at least 4:1 go vertical (scans decode whole blocks, where the
-/// vertical SIMD kernels are fastest); point-access-heavy columns stay
-/// horizontal (a single vertical value costs the same bit gymnastics but
-/// with a colder access pattern).
-///
-/// [`telemetry::access_counts`]: crate::telemetry::access_counts
-pub fn choose_layout() -> Layout {
-    match std::env::var("SCC_LAYOUT").as_deref() {
-        Ok("horizontal") => return Layout::Horizontal,
-        Ok("vertical") => return Layout::Vertical,
-        _ => {} // "auto", unset, or unreadable: decide from telemetry
-    }
-    let (points, scans) = crate::telemetry::access_counts();
-    if points == 0 || scans >= 4 * points {
-        Layout::Vertical
-    } else {
-        Layout::Horizontal
-    }
-}
-
 /// Executes a plan against a full column run in an explicit [`Layout`].
-pub fn compress_with_plan_in<V: Value>(
-    values: &[V],
-    plan: &Plan<V>,
-    layout: Layout,
-) -> Segment<V> {
+pub fn compress_with_plan_in<V: Value>(values: &[V], plan: &Plan<V>, layout: Layout) -> Segment<V> {
     match plan {
-        Plan::Pfor { base, b } => {
-            pfor::compress_in(values, *base, *b, Default::default(), layout)
-        }
+        Plan::Pfor { base, b } => pfor::compress_in(values, *base, *b, Default::default(), layout),
         Plan::PforDelta { delta_base, b } => {
             // Seed with the first value so delta[0] = 0 (always codable
             // when delta_base covers 0; otherwise one exception).
@@ -357,10 +325,11 @@ pub fn compress_with_plan_in<V: Value>(
     }
 }
 
-/// Executes a plan against a full column run, in the layout chosen by
-/// [`choose_layout`].
+/// Executes a plan against a full column run in the vertical layout, the
+/// only one the automatic write path produces ([`compress_with_plan_in`]
+/// still writes horizontal on request).
 pub fn compress_with_plan<V: Value>(values: &[V], plan: &Plan<V>) -> Segment<V> {
-    compress_with_plan_in(values, plan, choose_layout())
+    compress_with_plan_in(values, plan, Layout::Vertical)
 }
 
 /// Wrinkle for PFOR-DELTA plans: the seed used by [`compress_with_plan`]

@@ -69,8 +69,8 @@ pub mod value;
 pub mod wire;
 
 pub use analyze::{
-    analyze, choose_layout, compress_auto, compress_with_plan, compress_with_plan_in, Analysis,
-    AnalyzeOpts, Candidate, Plan,
+    analyze, compress_auto, compress_with_plan, compress_with_plan_in, Analysis, AnalyzeOpts,
+    Candidate, Plan,
 };
 pub use crc::{crc32c, crc32c_append};
 pub use error::{ChunkRef, Error};

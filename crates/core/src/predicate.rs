@@ -359,7 +359,6 @@ impl<V: Value> Segment<V> {
             self.scheme != SchemeKind::PforDelta,
             "compile_predicate never compiles PFOR-DELTA"
         );
-        crate::telemetry::record_access_scan();
         let vertical = self.layout() == crate::segment::Layout::Vertical;
         let mut written = 0usize;
         let mut blk = start / BLOCK;

@@ -445,7 +445,6 @@ impl<V: Value> Segment<V> {
         if start + out.len() > self.n {
             return Err(Error::RangeOutOfBounds { start, len: out.len(), n: self.n });
         }
-        crate::telemetry::record_access_scan();
         let t0 = scc_obs::clock();
         let mut buf = [V::default(); BLOCK];
         let mut written = 0;
@@ -484,7 +483,6 @@ impl<V: Value> Segment<V> {
     /// [`Error::CorruptDictCode`] when a PDICT code exceeds the
     /// dictionary at a position the patch walk ruled out as an exception.
     pub fn try_get(&self, x: usize) -> Result<V, Error> {
-        crate::telemetry::record_access_point();
         if x < self.n {
             self.get_checked_pos(x)
         } else {

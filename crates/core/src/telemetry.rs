@@ -25,8 +25,6 @@
 //! | `core.decode.kernel_class` | gauge | active kernel tier index (0=scalar, 1=sse41, 2=avx2) |
 //! | `core.encode.layout.horizontal` | counter | segments assembled in horizontal layout |
 //! | `core.encode.layout.vertical` | counter | segments assembled in vertical layout |
-//! | `core.access.point` | counter | fine-grained point lookups (`try_get`) |
-//! | `core.access.scan` | counter | vector-wise scans (`try_decode_range` / `try_select_range`) |
 //! | `core.analyze.compress` | counter | analyze runs choosing compression |
 //! | `core.analyze.plain` | counter | analyze runs keeping plain storage |
 //!
@@ -84,10 +82,6 @@ struct Handles {
     analyze_plain: Arc<Counter>,
     /// Segments assembled per layout, `[horizontal, vertical]`.
     layout_segments: [Arc<Counter>; 2],
-    /// Fine-grained point lookups vs vector-wise scans — the access-mix
-    /// signal [`crate::analyze::choose_layout`] reads.
-    access_point: Arc<Counter>,
-    access_scan: Arc<Counter>,
     /// Blocks decoded per kernel tier, indexed by
     /// [`scc_bitpack::kernel::KernelClass::index`].
     kernel_blocks: [Arc<Counter>; 3],
@@ -109,8 +103,6 @@ fn handles() -> &'static Handles {
                 r.counter("core.encode.layout.horizontal"),
                 r.counter("core.encode.layout.vertical"),
             ],
-            access_point: r.counter("core.access.point"),
-            access_scan: r.counter("core.access.scan"),
             kernel_blocks: scc_bitpack::kernel::KernelClass::ALL
                 .map(|c| r.counter(&format!("core.decode.kernel.{}.blocks", c.name()))),
             kernel_class: r.gauge("core.decode.kernel_class"),
@@ -129,7 +121,13 @@ fn scheme_handles(scheme: SchemeKind) -> &'static SchemeHandles {
 
 /// Records one assembled segment on the encode side.
 #[inline]
-pub fn record_encode(scheme: SchemeKind, layout: Layout, values: u64, exceptions: u64, bit_width: u32) {
+pub fn record_encode(
+    scheme: SchemeKind,
+    layout: Layout,
+    values: u64,
+    exceptions: u64,
+    bit_width: u32,
+) {
     if !scc_obs::enabled() {
         return;
     }
@@ -143,32 +141,6 @@ pub fn record_encode(scheme: SchemeKind, layout: Layout, values: u64, exceptions
         Layout::Vertical => 1,
     };
     handles().layout_segments[idx].add(1);
-}
-
-/// Records one fine-grained point lookup ([`Segment::try_get`]).
-///
-/// [`Segment::try_get`]: crate::Segment::try_get
-#[inline]
-pub fn record_access_point() {
-    if scc_obs::enabled() {
-        handles().access_point.add(1);
-    }
-}
-
-/// Records one vector-wise scan entry-point call.
-#[inline]
-pub fn record_access_scan() {
-    if scc_obs::enabled() {
-        handles().access_scan.add(1);
-    }
-}
-
-/// `(point_lookups, scans)` recorded so far. Both are zero while
-/// telemetry is disabled — callers treat that as "no point-access
-/// evidence".
-pub fn access_counts() -> (u64, u64) {
-    let h = handles();
-    (h.access_point.get(), h.access_scan.get())
 }
 
 /// Segments assembled per layout so far, `(horizontal, vertical)`.
@@ -286,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn layout_and_access_counters_move_when_enabled() {
+    fn layout_counters_move_when_enabled() {
         let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         scc_obs::set_enabled(true);
         let (h0, v0) = layout_counts();
@@ -294,13 +266,6 @@ mod tests {
         record_encode(SchemeKind::Pfor, Layout::Horizontal, 128, 0, 5);
         let (h1, v1) = layout_counts();
         assert_eq!((h1 - h0, v1 - v0), (1, 1));
-
-        let (p0, s0) = access_counts();
-        record_access_point();
-        record_access_scan();
-        record_access_scan();
-        let (p1, s1) = access_counts();
-        assert_eq!((p1 - p0, s1 - s0), (1, 2));
         scc_obs::set_enabled(false);
     }
 

@@ -208,7 +208,12 @@ macro_rules! impl_value {
 
             #[inline]
             fn vert_unpack_for(packed: &[u32], b: u32, base: Self, out: &mut [Self]) {
-                scc_bitpack::vert::$for_fn(packed, b, base as $uns, as_unsigned_mut!(out, $ty, $uns));
+                scc_bitpack::vert::$for_fn(
+                    packed,
+                    b,
+                    base as $uns,
+                    as_unsigned_mut!(out, $ty, $uns),
+                );
             }
 
             #[inline]

@@ -405,8 +405,7 @@ impl<V: Value> Segment<V> {
     /// v3 for vertical ones (both checksummed; the byte layout is
     /// otherwise identical).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let version =
-            if self.layout() == SegLayout::Vertical { VERSION_V3 } else { VERSION };
+        let version = if self.layout() == SegLayout::Vertical { VERSION_V3 } else { VERSION };
         self.to_bytes_versioned(version)
     }
 
@@ -428,8 +427,8 @@ impl<V: Value> Segment<V> {
             self.layout() == SegLayout::Horizontal || version == VERSION_V3,
             "vertical segments require wire format v3"
         );
-        let scheme_byte = self.scheme.tag()
-            | if self.layout() == SegLayout::Vertical { LAYOUT_FLAG } else { 0 };
+        let scheme_byte =
+            self.scheme.tag() | if self.layout() == SegLayout::Vertical { LAYOUT_FLAG } else { 0 };
         let w = V::byte_width();
         let mut out = Vec::with_capacity(self.compressed_bytes());
         out.extend_from_slice(&MAGIC);
@@ -814,18 +813,13 @@ mod tests {
     fn v3_vertical_roundtrip_all_schemes() {
         let values: Vec<u32> =
             (0..2000).map(|i| if i % 40 == 0 { i * 12345 } else { i % 50 }).collect();
-        let pfor = crate::pfor::compress_in(
-            &values,
-            0,
-            6,
-            Default::default(),
-            SegLayout::Vertical,
-        );
+        let pfor = crate::pfor::compress_in(&values, 0, 6, Default::default(), SegLayout::Vertical);
         let monotone: Vec<u32> = (0..2000u32).map(|i| i * 3 + i % 5).collect();
         let pfd = crate::pfordelta::compress_vertical(&monotone, 0);
         let trio: Vec<u32> = (0..600).map(|i| [3u32, 8, 40][i % 3]).collect();
         let dict = Dictionary::new(vec![3u32, 8, 40]);
-        let pd = crate::pdict::compress_in(&trio, &dict, 2, Default::default(), SegLayout::Vertical);
+        let pd =
+            crate::pdict::compress_in(&trio, &dict, 2, Default::default(), SegLayout::Vertical);
         for (seg, original) in [(&pfor, &values), (&pfd, &monotone), (&pd, &trio)] {
             let bytes = seg.to_bytes();
             assert_eq!(bytes[4], VERSION_V3);
@@ -847,8 +841,7 @@ mod tests {
     #[test]
     fn v3_header_corruption_detected() {
         let values: Vec<u32> = (0..1000u32).map(|i| i % 60).collect();
-        let seg =
-            crate::pfor::compress_in(&values, 0, 6, Default::default(), SegLayout::Vertical);
+        let seg = crate::pfor::compress_in(&values, 0, 6, Default::default(), SegLayout::Vertical);
         let bytes = seg.to_bytes();
         // Flipping v3 -> v2, or clearing the layout bit, fails the header
         // CRC before any field is trusted. Flipping v3 -> v1 downgrades to
@@ -883,13 +876,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "vertical segments require wire format v3")]
     fn vertical_to_v1_is_refused() {
-        let seg = crate::pfor::compress_in(
-            &[1u32, 2, 3],
-            0,
-            2,
-            Default::default(),
-            SegLayout::Vertical,
-        );
+        let seg =
+            crate::pfor::compress_in(&[1u32, 2, 3], 0, 2, Default::default(), SegLayout::Vertical);
         let _ = seg.to_bytes_v1();
     }
 

@@ -337,11 +337,6 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         "decode kernel: {} (override with SCC_KERNEL=scalar|sse41|avx2)",
         scc::bitpack::kernel::active()
     );
-    println!(
-        "encode layout: {} (auto from access telemetry; override with \
-         SCC_LAYOUT=horizontal|vertical)",
-        scc::core::choose_layout().name()
-    );
     let db = scc::tpch::TpchDb::generate(sf, 20_060_703);
     let cfg = scc::tpch::QueryConfig { threads, code_scan, ..Default::default() };
     for &q in &queries {

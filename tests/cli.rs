@@ -109,10 +109,12 @@ fn make_compressed(name: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn vertical_layout_roundtrips_through_the_cli() {
-    // Format v3 end-to-end: compress writes vertical segments under
-    // SCC_LAYOUT=vertical; inspect/verify report the layout; decompress
-    // restores the exact bytes. Horizontal stays on wire format v2.
+fn both_layouts_roundtrip_through_the_cli() {
+    // `compress` writes vertical segments (wire format v3). Horizontal
+    // segments (v2) are what older files hold; that file is assembled
+    // through the library. inspect/verify report the layout of either and
+    // decompress restores the exact bytes.
+    use scc::core::{analyze, compress_with_plan_in, frame, AnalyzeOpts, Layout};
     let input = tmp("vl_in.bin");
     let output = tmp("vl_out.bin");
     let values: Vec<u32> =
@@ -120,12 +122,21 @@ fn vertical_layout_roundtrips_through_the_cli() {
     write_u32s(&input, &values);
     for (layout, version) in [("vertical", 3u8), ("horizontal", 2u8)] {
         let compressed = tmp(&format!("vl_{layout}.scc"));
-        let st = scc()
-            .env("SCC_LAYOUT", layout)
-            .args(["compress", input.to_str().unwrap(), compressed.to_str().unwrap()])
-            .output()
-            .unwrap();
-        assert!(st.status.success(), "{}", String::from_utf8_lossy(&st.stderr));
+        if layout == "vertical" {
+            let st = scc()
+                .args(["compress", input.to_str().unwrap(), compressed.to_str().unwrap()])
+                .output()
+                .unwrap();
+            assert!(st.status.success(), "{}", String::from_utf8_lossy(&st.stderr));
+        } else {
+            let plan = analyze(&values, &AnalyzeOpts::default()).best().unwrap().plan.clone();
+            let seg = compress_with_plan_in(&values, &plan, Layout::Horizontal);
+            // Container: magic, the u32 type tag, one segment.
+            let mut file = b"SCCF\x01".to_vec();
+            file.extend_from_slice(&1u32.to_le_bytes());
+            frame::put_len_prefixed(&mut file, &seg.to_bytes());
+            std::fs::write(&compressed, file).unwrap();
+        }
 
         // The first segment's wire version sits right after the 9-byte
         // container preamble and 4-byte length prefix.
