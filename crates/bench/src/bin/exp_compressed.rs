@@ -15,39 +15,18 @@
 //!    accounting from EXPLAIN ANALYZE.
 //!
 //! Environment: `SCC_ROWS` (default 4 Mi) sizes the synthetic table,
-//! `SCC_SF` (default 0.05) the TPC-H database. Writes
-//! `results/BENCH_compressed.json` (override with `--json <path>`), in
-//! the same `{bench, command, params..., sweeps: [...]}` shape as the
-//! other BENCH_*.json files.
+//! `SCC_SF` (default 0.05) the TPC-H database.
 
 use scc_bench::{env_f64, env_usize, time_median};
 use scc_engine::{AggExpr, Expr, HashAggregate, Operator, Select};
-use scc_obs::json::Json;
 use scc_storage::disk::stats_handle;
 use scc_storage::{Compression, Scan, ScanOptions, TableBuilder};
 use std::sync::Arc;
 
-fn report(cpu_ms: f64, output_mb: f64, decoded: u64, skipped: u64) -> Json {
-    Json::Obj(vec![
-        ("cpu_ms".into(), Json::F64(cpu_ms)),
-        ("decoded_output_mb".into(), Json::F64(output_mb)),
-        ("values_decoded".into(), Json::U64(decoded)),
-        ("values_skipped".into(), Json::U64(skipped)),
-    ])
-}
-
 fn main() {
     let metrics = scc_bench::metrics::init();
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_compressed.json".into());
     let rows = env_usize("SCC_ROWS", 4 * 1024 * 1024);
     let sf = env_f64("SCC_SF", 0.05);
-    let mut sweeps: Vec<Json> = Vec::new();
 
     // --- Sweep 1: synthetic selectivity ladder -------------------------
     // key is uniform in [0, 10_000); `key < K` selects K/10_000 of the
@@ -82,7 +61,6 @@ fn main() {
             let stats = stats_handle();
             let mut sum = 0i64;
             let mut per_run = scc_storage::ScanSnapshot::default();
-            let mut decoded = 0u64;
             let mut skipped = 0u64;
             let cpu = time_median(3, || {
                 let scan = Scan::new(
@@ -96,9 +74,7 @@ fn main() {
                 let mut agg =
                     HashAggregate::new(filtered, vec![], vec![AggExpr::Sum(Expr::col(1))]);
                 sum = agg.next().expect("one group").col(0).as_i64()[0];
-                let (d, s) = agg.explain().values_totals();
-                decoded = d;
-                skipped = s;
+                skipped = agg.explain().values_totals().1;
                 per_run = stats.take();
             });
             std::hint::black_box(sum);
@@ -114,12 +90,6 @@ fn main() {
                  {speedup:>9.2}x",
                 sel * 100.0,
             );
-            sweeps.push(Json::Obj(vec![
-                ("kind".into(), Json::Str("selectivity".into())),
-                ("selectivity".into(), Json::F64(sel)),
-                ("code_scan".into(), Json::Bool(code_scan)),
-                ("report".into(), report(cpu_ms, output_mb, decoded, skipped)),
-            ]));
         }
     }
 
@@ -144,31 +114,9 @@ fn main() {
             println!(
                 "{q:>4} {label:>10} {cpu_ms:>12.2} {output_mb:>12.2} {decoded:>14} {skipped:>14}"
             );
-            sweeps.push(Json::Obj(vec![
-                ("kind".into(), Json::Str("tpch".into())),
-                ("query".into(), Json::U64(q as u64)),
-                ("code_scan".into(), Json::Bool(code_scan)),
-                ("report".into(), report(cpu_ms, output_mb, decoded, skipped)),
-            ]));
         }
     }
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("compressed-domain predicate pushdown".into())),
-        (
-            "command".into(),
-            Json::Str("exp_compressed (SCC_ROWS sizes the sweep, SCC_SF the TPC-H db)".into()),
-        ),
-        ("rows".into(), Json::U64(rows as u64)),
-        ("sf".into(), Json::F64(sf)),
-        ("kernel_class".into(), Json::Str(scc_bitpack::kernel::active().name().into())),
-        ("sweeps".into(), Json::Arr(sweeps)),
-    ]);
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(&json_path, doc.pretty()).expect("write compressed json");
-    println!("\nwrote {json_path}");
     println!("\nexpected shape: at low selectivity the code scan decodes a small");
     println!("fraction of the column (dead 128-blocks and dead batches are never");
     println!("materialized); as selectivity approaches 100% the two modes converge");

@@ -9,11 +9,6 @@
 //! would.
 //!
 //! Environment: `SCC_SF` (default 0.05) scales the dataset.
-//!
-//! Besides the text table, writes the measurements as
-//! `results/BENCH_decode.json` (override with `--json <path>`), in the
-//! same `{bench, command, params..., sweeps: [{params..., report}]}`
-//! shape as `BENCH_server.json` / `BENCH_kernels.json`.
 
 use scc_baselines::{
     bwt::BwtCodec, deflate_like::DeflateLike, lzrw1::Lzrw1, lzss::Lzss, lzw::Lzw, ByteCodec,
@@ -21,7 +16,6 @@ use scc_baselines::{
 use scc_bench::data::{to_le_bytes_i32, to_le_bytes_i64};
 use scc_bench::{env_f64, mb_per_sec, time_median};
 use scc_core::{analyze, compress_with_plan, AnalyzeOpts};
-use scc_obs::json::Json;
 
 struct ColumnCase {
     name: &'static str,
@@ -82,30 +76,8 @@ fn measure_pfor_i32(values: &[i32]) -> (f64, f64, f64) {
     (ratio, mb_per_sec(raw, comp_t), mb_per_sec(raw, dec_t))
 }
 
-fn sweep_row(column: &str, codec: &str, ratio: f64, comp: f64, dec: f64) -> Json {
-    Json::Obj(vec![
-        ("column".into(), Json::Str(column.into())),
-        ("codec".into(), Json::Str(codec.into())),
-        (
-            "report".into(),
-            Json::Obj(vec![
-                ("ratio".into(), Json::F64(ratio)),
-                ("comp_mb_per_sec".into(), Json::F64(comp)),
-                ("dec_mb_per_sec".into(), Json::F64(dec)),
-            ]),
-        ),
-    ])
-}
-
 fn main() {
     let metrics = scc_bench::metrics::init();
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_decode.json".into());
     let sf = env_f64("SCC_SF", 0.05);
     eprintln!("generating TPC-H at SF {sf}...");
     let raw = scc_tpch::generate(sf, 42);
@@ -145,14 +117,12 @@ fn main() {
     println!("Figure 2: codec comparison on TPC-H columns (SF {sf})");
     println!("paper shape: LZ-family decompresses at 200-500 MB/s and compresses far");
     println!("slower; PFOR exceeds 1 GB/s compression and multi-GB/s decompression.");
-    let mut sweeps: Vec<Json> = Vec::new();
     for case in &cases {
         println!("\n=== {} ({} MB raw) ===", case.name, case.bytes.len() / (1024 * 1024));
         println!("{:<28} {:>7} {:>12} {:>12}", "codec", "ratio", "comp MB/s", "dec MB/s");
         for (label, codec) in &byte_codecs {
             let (r, c, d) = measure_byte_codec(codec.as_ref(), &case.bytes);
             println!("{label:<28} {r:>7.2} {c:>12.1} {d:>12.1}");
-            sweeps.push(sweep_row(case.name, label, r, c, d));
         }
         let (r, c, d) = match (&case.as_i64, &case.as_i32) {
             (Some(v), _) => measure_pfor_i64(v),
@@ -160,19 +130,6 @@ fn main() {
             _ => unreachable!(),
         };
         println!("{:<28} {r:>7.2} {c:>12.1} {d:>12.1}", "PFOR (auto scheme)");
-        sweeps.push(sweep_row(case.name, "PFOR (auto scheme)", r, c, d));
     }
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("figure 2 codec comparison".into())),
-        ("command".into(), Json::Str("exp_fig2 (SCC_SF scales the dataset)".into())),
-        ("sf".into(), Json::F64(sf)),
-        ("kernel_class".into(), Json::Str(scc_bitpack::kernel::active().name().into())),
-        ("sweeps".into(), Json::Arr(sweeps)),
-    ]);
-    if let Some(dir) = std::path::Path::new(&json_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(&json_path, doc.pretty()).expect("write decode json");
-    println!("\nwrote {json_path}");
     metrics.finish();
 }

@@ -1,5 +1,4 @@
-//! Experiment harness shared by the per-table/per-figure binaries and the
-//! Criterion benches.
+//! Experiment harness shared by the per-table/per-figure binaries.
 //!
 //! Every binary under `src/bin/exp_*.rs` regenerates one table or figure
 //! of the paper (see DESIGN.md §3 for the index). Binaries print

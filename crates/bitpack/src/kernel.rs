@@ -26,11 +26,10 @@
 //! including ragged tails.
 //!
 //! Selection can be overridden: the `SCC_KERNEL` environment variable
-//! (`scalar`, `sse41`, `avx2`; read once at first dispatch) or [`force`]
-//! (used by `bench_kernels` to sweep classes in-process). An override
-//! naming an unknown or unsupported class is not honoured — detection
-//! runs instead and says so on stderr — so a forced kernel never
-//! executes unsupported instructions.
+//! (`scalar`, `sse41`, `avx2`; read once at first dispatch) or [`force`].
+//! An override naming an unknown or unsupported class is not honoured —
+//! detection runs instead and says so on stderr — so a forced kernel
+//! never executes unsupported instructions.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -259,7 +258,7 @@ pub fn active() -> KernelClass {
 
 /// Forces every later dispatch onto `class`. Fails (and changes nothing)
 /// when the tier is unavailable, so a forced kernel can never execute
-/// unsupported instructions. Used by benches and differential tests.
+/// unsupported instructions.
 pub fn force(class: KernelClass) -> Result<(), Unavailable> {
     if !available(class) {
         return Err(Unavailable(class));

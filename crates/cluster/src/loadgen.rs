@@ -79,7 +79,7 @@ impl ClusterLoadgenReport {
         )
     }
 
-    /// Structured form for `results/BENCH_cluster.json`.
+    /// Structured form for `scc loadgen --cluster --report-json`.
     pub fn to_json(&self) -> scc_obs::json::Json {
         use scc_obs::json::Json;
         Json::Obj(vec![

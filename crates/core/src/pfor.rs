@@ -293,7 +293,7 @@ mod tests {
         let values: Vec<u32> = (0..1000).map(|i| i % 64).collect();
         let seg = compress(&values, 0, 6);
         let mut out = vec![0u32; 300];
-        seg.decode_range(128, &mut out);
+        seg.try_decode_range(128, &mut out).unwrap();
         assert_eq!(out, &values[128..428]);
     }
 

@@ -213,7 +213,7 @@ mod tests {
         let values: Vec<u32> = (0..2000u32).map(|i| i * 2 + (i % 5)).collect();
         let seg = compress(&values, 0, 0, 3);
         let mut out = vec![0u32; 512];
-        seg.decode_range(1024, &mut out);
+        seg.try_decode_range(1024, &mut out).unwrap();
         assert_eq!(out, &values[1024..1536]);
     }
 
@@ -274,7 +274,7 @@ mod tests {
             assert_eq!(seg.get(i), values[i], "index {i}");
         }
         let mut out = vec![0u32; 512];
-        seg.decode_range(1024, &mut out);
+        seg.try_decode_range(1024, &mut out).unwrap();
         assert_eq!(out, &values[1024..1536]);
     }
 

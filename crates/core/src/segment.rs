@@ -390,26 +390,13 @@ impl<V: Value> Segment<V> {
         Ok(len)
     }
 
-    /// Decompresses block `blk` into `out[..len]`; returns `len`.
-    ///
-    /// Infallible [`try_decode_block`](Self::try_decode_block): panics on
-    /// a corrupt code section. In-memory segments built by the encoders
-    /// always satisfy the layout, so this is the ergonomic entry point
-    /// for iterators and whole-segment decode.
-    pub fn decode_block(&self, blk: usize, out: &mut [V]) -> usize {
-        match self.try_decode_block(blk, out) {
-            Ok(len) => len,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Decompresses the whole segment, appending to `out`.
     pub fn decompress_into(&self, out: &mut Vec<V>) {
         let start = scc_obs::clock();
         out.reserve(self.n);
         let mut buf = [V::default(); BLOCK];
         for blk in 0..self.n_blocks() {
-            let len = self.decode_block(blk, &mut buf);
+            let len = self.try_decode_block(blk, &mut buf).unwrap_or_else(|e| panic!("{e}"));
             out.extend_from_slice(&buf[..len]);
         }
         if let Some(t) = start {
@@ -467,15 +454,6 @@ impl<V: Value> Segment<V> {
         Ok(())
     }
 
-    /// Infallible [`try_decode_range`](Self::try_decode_range): panics on
-    /// a bad range. Kept for the bench kernels and call sites that decode
-    /// ranges they just computed.
-    pub fn decode_range(&self, start: usize, out: &mut [V]) {
-        if let Err(e) = self.try_decode_range(start, out) {
-            panic!("{e}");
-        }
-    }
-
     /// Fine-grained random access: the value at position `x`, without
     /// decompressing the rest of the block (except for PFOR-DELTA, which
     /// must reconstruct the running sum of its block — §3.1 "Fine-Grained
@@ -505,7 +483,7 @@ impl<V: Value> Segment<V> {
         let blk = x / BLOCK;
         if self.scheme == SchemeKind::PforDelta {
             let mut buf = [V::default(); BLOCK];
-            self.decode_block(blk, &mut buf);
+            self.try_decode_block(blk, &mut buf)?;
             return Ok(buf[x % BLOCK]);
         }
         let local = (x % BLOCK) as u32;
@@ -618,7 +596,10 @@ impl<V: Value> Iterator for SegmentIter<'_, V> {
             if self.blk >= self.seg.n_blocks() {
                 return None;
             }
-            self.len = self.seg.decode_block(self.blk, &mut self.buf);
+            self.len = self
+                .seg
+                .try_decode_block(self.blk, &mut self.buf)
+                .unwrap_or_else(|e| panic!("{e}"));
             self.blk += 1;
             self.pos = 0;
         }

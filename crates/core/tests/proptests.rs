@@ -87,7 +87,7 @@ proptest! {
         if start < values.len() {
             let len = (values.len() - start).min(300);
             let mut out = vec![0u32; len];
-            seg.decode_range(start, &mut out);
+            seg.try_decode_range(start, &mut out).unwrap();
             prop_assert_eq!(&out[..], &values[start..start + len]);
         }
     }

@@ -885,7 +885,7 @@ impl LoadgenReport {
         )
     }
 
-    /// Structured form for `results/BENCH_server.json`.
+    /// Structured form for `scc loadgen --report-json`.
     pub fn to_json(&self) -> scc_obs::json::Json {
         use scc_obs::json::Json;
         Json::Obj(vec![

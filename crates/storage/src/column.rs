@@ -122,30 +122,13 @@ impl<V: Value> ColumnStore<V> {
     /// `seg` from the compressed representation. `offset` must be
     /// 128-block aligned.
     ///
-    /// LZRW1-page segments have no fine-grained access: every call
-    /// decompresses the full page (scan them page-wise to amortize).
-    pub fn decode_segment_range(&self, seg: usize, offset: usize, out: &mut [V]) {
-        match &self.segments[seg] {
-            StoredSegment::Compressed(s, _) => s.decode_range(offset, out),
-            StoredSegment::Plain(_) => {
-                let base = seg * self.seg_rows + offset;
-                out.copy_from_slice(&self.plain[base..base + out.len()]);
-            }
-            StoredSegment::Lz(page, n) => {
-                let w = V::byte_width();
-                let raw = scc_baselines::lzrw1::Lzrw1.decompress_vec(page, *n * w);
-                for (o, chunk) in out.iter_mut().zip(raw[offset * w..].chunks_exact(w)) {
-                    *o = V::read_le(chunk);
-                }
-            }
-        }
-    }
-
-    /// Fallible [`Self::decode_segment_range`]: a segment index past
-    /// the column, an unaligned offset, or a range past the segment's
-    /// end all come back as typed errors instead of panics, uniformly
+    /// A segment index past the column, an unaligned offset, or a range
+    /// past the segment's end all come back as typed errors, uniformly
     /// across compressed, plain and LZRW1-page segments (the analyzer's
     /// per-segment storage choice must not change which requests fail).
+    ///
+    /// LZRW1-page segments have no fine-grained access: every call
+    /// decompresses the full page (scan them page-wise to amortize).
     pub fn try_decode_segment_range(
         &self,
         seg: usize,
@@ -171,14 +154,20 @@ impl<V: Value> ColumnStore<V> {
         }
         match &self.segments[seg] {
             StoredSegment::Compressed(s, _) => s.try_decode_range(offset, out),
-            StoredSegment::Plain(_) | StoredSegment::Lz(..) => {
-                self.decode_segment_range(seg, offset, out);
+            StoredSegment::Plain(_) => {
+                let base = seg * self.seg_rows + offset;
+                out.copy_from_slice(&self.plain[base..base + out.len()]);
+                Ok(())
+            }
+            StoredSegment::Lz(..) => {
+                self.decode_segment_range_with(seg, offset, out, &mut Vec::new());
                 Ok(())
             }
         }
     }
 
-    /// [`Self::decode_segment_range`] with a caller-owned byte buffer
+    /// [`Self::try_decode_segment_range`] for ranges the scan computed
+    /// itself (panics on a bad one), with a caller-owned byte buffer
     /// for the LZRW1 page decompression, so repeated reads (a scan)
     /// reuse one allocation instead of building a fresh page per call.
     /// Compressed and plain segments never touch `lz_scratch`.
@@ -198,7 +187,7 @@ impl<V: Value> ColumnStore<V> {
                     *o = V::read_le(chunk);
                 }
             }
-            _ => self.decode_segment_range(seg, offset, out),
+            _ => self.try_decode_segment_range(seg, offset, out).unwrap_or_else(|e| panic!("{e}")),
         }
     }
 
@@ -521,7 +510,7 @@ mod tests {
         assert_eq!(col.n_segments(), 4);
         assert!(col.compressed_bytes() < col.plain_bytes() / 3);
         let mut out = vec![0i64; 1024];
-        col.decode_segment_range(1, 2048, &mut out);
+        col.try_decode_segment_range(1, 2048, &mut out).unwrap();
         assert_eq!(out, &values[64 * 1024 + 2048..64 * 1024 + 2048 + 1024]);
     }
 
@@ -553,7 +542,7 @@ mod tests {
         assert_eq!(like_r.len(), 1);
         // Codes roundtrip through the store.
         let mut out = vec![0u32; 128];
-        col.codes.decode_segment_range(0, 0, &mut out);
+        col.codes.try_decode_segment_range(0, 0, &mut out).unwrap();
         for (i, &c) in out.iter().enumerate() {
             assert_eq!(col.dict[c as usize], values[i]);
         }
@@ -580,7 +569,7 @@ mod tests {
         let col = ColumnStore::build(values.clone(), 8192, &Compression::Lzrw1Pages);
         assert!(col.compressed_bytes() < col.plain_bytes() / 4);
         let mut out = vec![0i64; 1024];
-        col.decode_segment_range(2, 1024, &mut out);
+        col.try_decode_segment_range(2, 1024, &mut out).unwrap();
         assert_eq!(out, &values[2 * 8192 + 1024..2 * 8192 + 2048]);
         // Incompressible pages fall back to plain.
         let mut x = 5u64;
@@ -646,7 +635,7 @@ mod tests {
         let col = ColumnStore::build((0..5000i32).collect(), 1024, &Compression::None);
         assert_eq!(col.compressed_bytes(), col.plain_bytes());
         let mut out = vec![0i32; 512];
-        col.decode_segment_range(2, 512, &mut out);
+        col.try_decode_segment_range(2, 512, &mut out).unwrap();
         assert_eq!(out[0], 2 * 1024 + 512);
     }
 }
