@@ -5,69 +5,26 @@
 //! table shows what the analyzer decides for every scannable lineitem and
 //! orders column, the estimated and realized bits/value, and what the
 //! *other* schemes would have cost — quantifying how much the automatic
-//! choice matters.
+//! choice matters. The rows come from [`scc_bench::ablation_schemes_rows`];
+//! a unit test pins them to `results/exp_ablation_schemes.txt`.
 //!
 //! Environment: `SCC_SF` (default 0.02).
 
 use scc_bench::env_f64;
-use scc_core::{analyze, compress_with_plan, AnalyzeOpts, Plan};
-
-fn report_column(name: &str, values: &[i64]) {
-    let v32ish: Vec<i64> = values.to_vec();
-    let analysis = analyze(&v32ish, &AnalyzeOpts::default());
-    let Some(best) = analysis.best() else {
-        println!("{name:<18} (empty)");
-        return;
-    };
-    let seg = compress_with_plan(&v32ish, &best.plan);
-    assert_eq!(seg.decompress(), v32ish);
-    // The best candidate per scheme family, for comparison.
-    let family_best = |f: fn(&Plan<i64>) -> bool| {
-        analysis
-            .candidates
-            .iter()
-            .filter(|c| f(&c.plan))
-            .map(|c| c.est_bits_per_value)
-            .fold(f64::INFINITY, f64::min)
-    };
-    println!(
-        "{:<18} {:<10} b={:<2} {:>7.2} real {:>6.2} | PFOR {:>6.2} DELTA {:>6.2} PDICT {:>6.2}",
-        name,
-        best.plan.name(),
-        best.plan.bit_width(),
-        best.est_bits_per_value,
-        seg.stats().bits_per_value,
-        family_best(|p| matches!(p, Plan::Pfor { .. })),
-        family_best(|p| matches!(p, Plan::PforDelta { .. })),
-        family_best(|p| matches!(p, Plan::Pdict { .. })),
-    );
-}
 
 fn main() {
     let metrics = scc_bench::metrics::init();
     let sf = env_f64("SCC_SF", 0.02);
     eprintln!("generating TPC-H at SF {sf}...");
-    let raw = scc_tpch::generate(sf, 0xAB1A);
+    let rows = scc_bench::ablation_schemes_rows(sf);
     println!("analyzer decisions per column (bits/value; 64-bit raw)");
     println!(
         "{:<18} {:<10} {:<4} {:>7} {:>11} | best per family (est)",
         "column", "scheme", "", "est", ""
     );
-    let l = &raw.lineitem;
-    report_column("l_orderkey", &l.orderkey);
-    report_column("l_partkey", &l.partkey);
-    report_column("l_suppkey", &l.suppkey);
-    report_column("l_quantity", &l.quantity);
-    report_column("l_extendedprice", &l.extendedprice);
-    report_column("l_discount", &l.discount);
-    report_column("l_tax", &l.tax);
-    report_column("l_shipdate", &l.shipdate.iter().map(|&d| d as i64).collect::<Vec<_>>());
-    report_column("l_linenumber", &l.linenumber.iter().map(|&d| d as i64).collect::<Vec<_>>());
-    let o = &raw.orders;
-    report_column("o_orderkey", &o.orderkey);
-    report_column("o_custkey", &o.custkey);
-    report_column("o_totalprice", &o.totalprice);
-    report_column("o_orderdate", &o.orderdate.iter().map(|&d| d as i64).collect::<Vec<_>>());
+    for row in rows {
+        println!("{row}");
+    }
     println!("\nexpected: sorted keys -> PFOR-DELTA; clustered dates/prices -> PFOR;");
     println!("tiny domains (quantity, discount, tax, linenumber) -> PFOR or PDICT at");
     println!("the domain width; the chosen family should match the per-family minimum.");

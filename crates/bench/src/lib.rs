@@ -8,6 +8,7 @@
 
 #![warn(missing_docs)]
 
+use scc_core::{analyze, compress_with_plan, AnalyzeOpts, Plan};
 use std::time::Instant;
 
 pub mod data;
@@ -47,6 +48,63 @@ pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// `exp_ablation_schemes`' table rows for TPC-H at scale factor `sf`:
+/// per scannable lineitem and orders column, the analyzer's choice, its
+/// estimated and realized bits/value, and the cheapest estimate of each
+/// scheme family.
+pub fn ablation_schemes_rows(sf: f64) -> Vec<String> {
+    let raw = scc_tpch::generate(sf, 0xAB1A);
+    let widen = |v: &[i32]| v.iter().map(|&d| d as i64).collect::<Vec<_>>();
+    let (l, o) = (&raw.lineitem, &raw.orders);
+    [
+        ("l_orderkey", l.orderkey.clone()),
+        ("l_partkey", l.partkey.clone()),
+        ("l_suppkey", l.suppkey.clone()),
+        ("l_quantity", l.quantity.clone()),
+        ("l_extendedprice", l.extendedprice.clone()),
+        ("l_discount", l.discount.clone()),
+        ("l_tax", l.tax.clone()),
+        ("l_shipdate", widen(&l.shipdate)),
+        ("l_linenumber", widen(&l.linenumber)),
+        ("o_orderkey", o.orderkey.clone()),
+        ("o_custkey", o.custkey.clone()),
+        ("o_totalprice", o.totalprice.clone()),
+        ("o_orderdate", widen(&o.orderdate)),
+    ]
+    .iter()
+    .map(|(name, values)| scheme_choice_row(name, values))
+    .collect()
+}
+
+fn scheme_choice_row(name: &str, values: &[i64]) -> String {
+    let analysis = analyze(values, &AnalyzeOpts::default());
+    let Some(best) = analysis.best() else {
+        return format!("{name:<18} (empty)");
+    };
+    let seg = compress_with_plan(values, &best.plan);
+    assert_eq!(seg.decompress(), values);
+    // The best candidate per scheme family, for comparison.
+    let family_best = |f: fn(&Plan<i64>) -> bool| {
+        analysis
+            .candidates
+            .iter()
+            .filter(|c| f(&c.plan))
+            .map(|c| c.est_bits_per_value)
+            .fold(f64::INFINITY, f64::min)
+    };
+    format!(
+        "{:<18} {:<10} b={:<2} {:>7.2} real {:>6.2} | PFOR {:>6.2} DELTA {:>6.2} PDICT {:>6.2}",
+        name,
+        best.plan.name(),
+        best.plan.bit_width(),
+        best.est_bits_per_value,
+        seg.stats().bits_per_value,
+        family_best(|p| matches!(p, Plan::Pfor { .. })),
+        family_best(|p| matches!(p, Plan::PforDelta { .. })),
+        family_best(|p| matches!(p, Plan::Pdict { .. })),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,6 +115,14 @@ mod tests {
             std::hint::black_box((0..10_000u64).sum::<u64>());
         });
         assert!(t > 0.0);
+    }
+
+    #[test]
+    fn ablation_schemes_rows_match_the_captured_table() {
+        let captured = include_str!("../../../results/exp_ablation_schemes.txt");
+        let want: Vec<&str> =
+            captured.lines().filter(|l| l.starts_with("l_") || l.starts_with("o_")).collect();
+        assert_eq!(ablation_schemes_rows(0.02), want);
     }
 
     #[test]

@@ -25,11 +25,11 @@
 //! differential property tests in `tests/` assert this for every width,
 //! including ragged tails.
 //!
-//! Selection can be overridden: the `SCC_KERNEL` environment variable
-//! (`scalar`, `sse41`, `avx2`; read once at first dispatch) or [`force`].
-//! An override naming an unknown or unsupported class is not honoured —
-//! detection runs instead and says so on stderr — so a forced kernel
-//! never executes unsupported instructions.
+//! Selection can be overridden with the `SCC_KERNEL` environment variable
+//! (`scalar`, `sse41`, `avx2`; read once at first dispatch). An override
+//! naming an unknown or unsupported class is not honoured — detection
+//! runs instead and says so on stderr — so a forced kernel never executes
+//! unsupported instructions.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -93,19 +93,6 @@ impl std::fmt::Display for KernelClass {
         f.write_str(self.name())
     }
 }
-
-/// Error from [`force`]: the requested tier is not supported by this CPU
-/// or build (e.g. `simd` feature disabled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Unavailable(pub KernelClass);
-
-impl std::fmt::Display for Unavailable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "kernel class {} is not available on this CPU/build", self.0.name())
-    }
-}
-
-impl std::error::Error for Unavailable {}
 
 /// One tier's vertical-layout implementations (see [`crate::vert`]).
 /// Same validation contract as [`Driver`]; the delta/prefix kernels take
@@ -244,7 +231,7 @@ fn detect() -> KernelClass {
 }
 
 /// The kernel class currently serving dispatch. Detected once (CPUID +
-/// `SCC_KERNEL` override) and cached; [`force`] replaces the cache.
+/// `SCC_KERNEL` override) and cached.
 pub fn active() -> KernelClass {
     match ACTIVE.load(Ordering::Relaxed) {
         0 => {
@@ -254,17 +241,6 @@ pub fn active() -> KernelClass {
         }
         v => KernelClass::from_index(v - 1),
     }
-}
-
-/// Forces every later dispatch onto `class`. Fails (and changes nothing)
-/// when the tier is unavailable, so a forced kernel can never execute
-/// unsupported instructions.
-pub fn force(class: KernelClass) -> Result<(), Unavailable> {
-    if !available(class) {
-        return Err(Unavailable(class));
-    }
-    ACTIVE.store(class.index() as u8 + 1, Ordering::Relaxed);
-    Ok(())
 }
 
 pub(crate) fn driver_for(class: KernelClass) -> Option<&'static Driver> {
@@ -515,7 +491,6 @@ mod tests {
     fn simd_tiers_unavailable_without_feature() {
         assert!(!available(KernelClass::Sse41));
         assert!(!available(KernelClass::Avx2));
-        assert_eq!(force(KernelClass::Avx2), Err(Unavailable(KernelClass::Avx2)));
         assert_eq!(active(), KernelClass::Scalar);
     }
 }

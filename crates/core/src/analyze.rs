@@ -2,16 +2,22 @@
 //! Compression Schemes").
 //!
 //! The table materialization operator gathers a sample (64 Ki values by
-//! default), sorts it once (`O(s log s)`), and evaluates every applicable
-//! (scheme, bit-width) pair against it:
+//! default) and collapses it into ascending `(value, count)` runs — a
+//! counting pass when the sample's span is under `4·s`, otherwise one sort
+//! (`O(s log s)`) — then evaluates every applicable (scheme, bit-width)
+//! pair against the runs:
 //!
-//! * **PFOR** — `PFOR_ANALYZE_BITS`: one pass over the sorted sample finds
-//!   the longest stretch representable in `b` bits; everything outside the
-//!   stretch is an exception.
-//! * **PFOR-DELTA** — the same analysis on the sorted *differences* of the
-//!   sample (taken in original order).
-//! * **PDICT** — a frequency histogram built from the sorted sample,
-//!   re-sorted descending by frequency; the top `2^b` values are coded.
+//! * **PFOR** — `PFOR_ANALYZE_BITS`: the longest stretch of the sorted
+//!   sample representable in `b` bits; everything outside the stretch is
+//!   an exception. Every width's stretch comes from one pass: a
+//!   count-weighted two-pointer sweep per width over the runs when they
+//!   are at most a quarter of the sample, otherwise a single branch-free
+//!   pass over the sorted sample that advances all widths' windows
+//!   together. Both return exactly what [`pfor_analyze_bits`] returns.
+//! * **PFOR-DELTA** — the same analysis on the *differences* of the sample
+//!   (taken in original order).
+//! * **PDICT** — the runs are the frequency histogram; sorted descending by
+//!   frequency, the top `2^b` values are coded.
 //!
 //! Estimated cost per value is `b + E'(b) · W` bits plus fixed overheads,
 //! where `E'` is the *effective* exception rate after compulsory
@@ -139,8 +145,10 @@ impl<V: Value> Analysis<V> {
 }
 
 /// The paper's `PFOR_ANALYZE_BITS`: on a sorted sample, the longest stretch
-/// of values whose span is representable in `b` bits. Returns
-/// `(start_index, length)`.
+/// of values whose span is representable in `b` bits (the first one, on a
+/// tie). Returns `(start_index, length)`. This is the per-width reference:
+/// [`analyze`] finds every width's stretch in one pass and must return
+/// exactly these.
 pub fn pfor_analyze_bits<V: Value>(sorted: &[V], b: u32) -> (usize, usize) {
     if sorted.is_empty() {
         return (0, 0);
@@ -159,17 +167,75 @@ pub fn pfor_analyze_bits<V: Value>(sorted: &[V], b: u32) -> (usize, usize) {
     best
 }
 
-fn pfor_candidates<V: Value>(sorted: &[V], out: &mut Vec<(V, u32, f64)>) {
-    // (base, b, exception_rate) per width; stop once everything is coded.
-    let s = sorted.len();
-    for b in 0..=32u32.min(V::BITS) {
-        let (lo, len) = pfor_analyze_bits(sorted, b);
-        let e = (s - len) as f64 / s as f64;
-        out.push((sorted[lo], b, e));
-        if len == s {
-            break;
+/// PFOR's choice per width on a sample given as its [`runs_of`]:
+/// `(base, b, exception_rate)` for `b = 0, 1, …` up to the first width
+/// that codes every value (at most 32) — at each width the window
+/// [`pfor_analyze_bits`] finds on the sorted sample, ties included.
+pub(crate) fn pfor_widths<V: Value>(runs: &[(V, usize)]) -> Vec<(V, u32, f64)> {
+    let s: usize = runs.iter().map(|&(_, c)| c).sum();
+    let span = runs[runs.len() - 1].0.wrapping_offset(runs[0].0);
+    let top = (u64::BITS - span.leading_zeros()).min(32);
+    let windows = if runs.len() <= s / 4 {
+        (0..=top).map(|b| run_window(runs, b)).collect()
+    } else {
+        sweep_windows(runs, top)
+    };
+    (0..=top).zip(windows).map(|(b, (base, len))| (base, b, (s - len) as f64 / s as f64)).collect()
+}
+
+/// A non-empty sample as ascending `(value, count)` runs: the sorted
+/// sample with equal values collapsed.
+pub(crate) fn runs_of<V: Value>(mut values: Vec<V>) -> Vec<(V, usize)> {
+    let (min, max) =
+        values.iter().fold((values[0], values[0]), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let span = max.wrapping_offset(min);
+    if span < (4 * values.len() as u64).min(u32::MAX.into()) {
+        let mut counts = vec![0usize; span as usize + 1];
+        for &v in &values {
+            counts[v.wrapping_offset(min) as usize] += 1;
+        }
+        return (0u32..)
+            .zip(counts)
+            .filter(|&(_, c)| c > 0)
+            .map(|(off, c)| (V::apply_offset(min, off), c))
+            .collect();
+    }
+    values.sort_unstable();
+    values.chunk_by(|a, b| a == b).map(|run| (run[0], run.len())).collect()
+}
+
+/// The first longest `b`-bit window over `runs` as `(base, length)`: a
+/// two-pointer sweep weighted by the run counts.
+fn run_window<V: Value>(runs: &[(V, usize)], b: u32) -> (V, usize) {
+    let (mut lo, mut len, mut best) = (0, 0, (runs[0].0, 0));
+    for &(v, c) in runs {
+        len += c;
+        while v.wrapping_offset(runs[lo].0) >> b != 0 {
+            len -= runs[lo].1;
+            lo += 1;
+        }
+        if len > best.1 {
+            best = (runs[lo].0, len);
         }
     }
+    best
+}
+
+/// [`run_window`] for every width `0..=top` in one pass over the sorted
+/// values. A window never shrinks: each value either extends width `b`'s
+/// window (a new longest, whose start is recorded) or slides it by one.
+fn sweep_windows<V: Value>(runs: &[(V, usize)], top: u32) -> Vec<(V, usize)> {
+    let sorted: Vec<V> = runs.iter().flat_map(|&(v, c)| std::iter::repeat_n(v, c)).collect();
+    let widths = top as usize + 1;
+    let (mut lo, mut best) = ([0usize; 33], [0usize; 33]);
+    for &x in &sorted {
+        for b in 0..widths {
+            let grow = x.wrapping_offset(sorted[lo[b]]) >> b == 0;
+            lo[b] += usize::from(!grow);
+            best[b] = if grow { lo[b] } else { best[b] };
+        }
+    }
+    (0..widths).map(|b| (sorted[best[b]], sorted.len() - lo[b])).collect()
 }
 
 /// Fast single-pass width choice for non-negative data coded from base 0
@@ -221,11 +287,8 @@ pub fn analyze<V: Value>(sample: &[V], opts: &AnalyzeOpts) -> Analysis<V> {
     let amortize = if opts.amortize_over == 0 { sample.len() } else { opts.amortize_over };
 
     // --- PFOR ---
-    let mut sorted = sample.to_vec();
-    sorted.sort_unstable();
-    let mut widths = Vec::new();
-    pfor_candidates(&sorted, &mut widths);
-    for &(base, b, e) in &widths {
+    let mut hist = runs_of(sample.to_vec());
+    for (base, b, e) in pfor_widths(&hist) {
         let e_eff = effective_exception_rate(e, b);
         let bits = b as f64 + e_eff * w + ENTRY_BITS_PER_VALUE;
         candidates.push(Candidate {
@@ -239,14 +302,8 @@ pub fn analyze<V: Value>(sample: &[V], opts: &AnalyzeOpts) -> Analysis<V> {
     // Deltas in original order, seeded with the first value so the seed
     // itself does not distort the distribution.
     if sample.len() >= 2 {
-        let mut deltas: Vec<V> = Vec::with_capacity(sample.len() - 1);
-        for w in sample.windows(2) {
-            deltas.push(w[1].wrapping_sub_v(w[0]));
-        }
-        deltas.sort_unstable();
-        let mut dwidths = Vec::new();
-        pfor_candidates(&deltas, &mut dwidths);
-        for &(dbase, b, e) in &dwidths {
+        let deltas = sample.windows(2).map(|w| w[1].wrapping_sub_v(w[0])).collect();
+        for (dbase, b, e) in pfor_widths(&runs_of(deltas)) {
             let e_eff = effective_exception_rate(e, b);
             // Delta restarts add one value per block.
             let bits = b as f64 + e_eff * w + ENTRY_BITS_PER_VALUE + w / BLOCK as f64;
@@ -259,18 +316,7 @@ pub fn analyze<V: Value>(sample: &[V], opts: &AnalyzeOpts) -> Analysis<V> {
     }
 
     // --- PDICT ---
-    // Frequency histogram from the sorted sample (runs of equal values).
-    let mut hist: Vec<(V, usize)> = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        let v = sorted[i];
-        let mut j = i + 1;
-        while j < sorted.len() && sorted[j] == v {
-            j += 1;
-        }
-        hist.push((v, j - i));
-        i = j;
-    }
+    // The sample's runs are its frequency histogram; most frequent first.
     hist.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     let s = sample.len() as f64;
     let mut covered = 0usize;

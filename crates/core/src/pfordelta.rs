@@ -12,6 +12,7 @@
 //! bringing fine-grained-access overhead to 0.5 bits per value as reported
 //! in §3.1.
 
+use crate::analyze;
 use crate::patch::BLOCK;
 use crate::pfor::{find_exceptions, CompressKernel};
 use crate::segment::{Layout, SchemeKind, Segment, SegmentAssembly};
@@ -126,36 +127,28 @@ pub fn compress_vertical_with<V: Value>(
 
 /// Vertical-layout PFOR-DELTA with `(delta_base, b)` chosen from the
 /// lane-delta distribution using the analyzer's cost model
-/// (`b + E'(b)·W` over a sorted sample of the stride-4 deltas).
+/// (`b + E'(b)·W` over the runs of a sample of the stride-4 deltas).
 pub fn compress_vertical<V: Value>(values: &[V], seed: V) -> Segment<V> {
     let sample = values.len().min(64 * 1024);
-    let mut sorted: Vec<V> = (0..sample)
+    let deltas = (0..sample)
         .map(|i| values[i].wrapping_sub_v(if i >= LANES { values[i - LANES] } else { seed }))
         .collect();
-    sorted.sort_unstable();
-    let (delta_base, b) = choose_lane_delta_width(&sorted);
+    let (delta_base, b) = choose_lane_delta_width(deltas);
     compress_vertical_with(values, seed, delta_base, b, CompressKernel::default())
 }
 
-/// Minimizes `b + E'(b)·W` over a sorted lane-delta sample; returns the
+/// Minimizes `b + E'(b)·W` over a lane-delta sample; returns the
 /// `(delta_base, b)` of the cheapest width.
-fn choose_lane_delta_width<V: Value>(sorted: &[V]) -> (V, u32) {
-    if sorted.is_empty() {
+fn choose_lane_delta_width<V: Value>(deltas: Vec<V>) -> (V, u32) {
+    if deltas.is_empty() {
         return (V::default(), 0);
     }
     let w = V::BITS as f64;
-    let s = sorted.len() as f64;
     let mut best = (V::default(), 32u32.min(V::BITS), f64::INFINITY);
-    for b in 0..=32u32.min(V::BITS) {
-        let (lo, len) = crate::analyze::pfor_analyze_bits(sorted, b);
-        let e = (sorted.len() - len) as f64 / s;
-        let e_eff = crate::analyze::effective_exception_rate(e, b);
-        let bits = b as f64 + e_eff * w;
+    for (base, b, e) in analyze::pfor_widths(&analyze::runs_of(deltas)) {
+        let bits = b as f64 + analyze::effective_exception_rate(e, b) * w;
         if bits < best.2 {
-            best = (sorted[lo], b, bits);
-        }
-        if len == sorted.len() {
-            break;
+            best = (base, b, bits);
         }
     }
     (best.0, best.1)

@@ -1,7 +1,7 @@
 //! Column stores: segmented, per-segment auto-compressed columns.
 
 use scc_baselines::ByteCodec;
-use scc_core::{analyze, compress_with_plan, AnalyzeOpts, Error, Plan, Segment, Value, BLOCK};
+use scc_core::{compress_auto, Error, Plan, Segment, Value, BLOCK};
 
 /// How a column should be compressed at build time.
 #[derive(Debug, Clone, Default)]
@@ -64,20 +64,12 @@ impl<V: Value> ColumnStore<V> {
                         StoredSegment::Plain(chunk.len())
                     }
                 }
-                Compression::Auto => {
-                    let analysis = analyze(chunk, &AnalyzeOpts::default());
-                    if analysis.worthwhile() {
-                        let plan = analysis.best().expect("worthwhile implies best").plan.clone();
-                        let seg = compress_with_plan(chunk, &plan);
-                        if seg.compressed_bytes() < chunk.len() * V::byte_width() {
-                            StoredSegment::Compressed(seg, plan)
-                        } else {
-                            StoredSegment::Plain(chunk.len())
-                        }
-                    } else {
-                        StoredSegment::Plain(chunk.len())
+                Compression::Auto => match compress_auto(chunk) {
+                    Some((seg, plan)) if seg.compressed_bytes() < chunk.len() * V::byte_width() => {
+                        StoredSegment::Compressed(seg, plan)
                     }
-                }
+                    _ => StoredSegment::Plain(chunk.len()),
+                },
             };
             segments.push(stored);
         }
@@ -403,14 +395,28 @@ pub struct StrColumn {
 }
 
 impl StrColumn {
-    /// Dictionary-encodes `values`.
+    /// Dictionary-encodes `values` against their sorted distinct strings.
     pub fn build(values: &[String], seg_rows: usize, compression: &Compression) -> Self {
-        let mut dict: Vec<String> = values.to_vec();
-        dict.sort_unstable();
-        dict.dedup();
-        let index: std::collections::HashMap<&str, u32> =
-            dict.iter().enumerate().map(|(i, s)| (s.as_str(), i as u32)).collect();
-        let codes: Vec<u32> = values.iter().map(|s| index[s.as_str()]).collect();
+        // Codes in first-seen order, then only the distinct strings are
+        // sorted and the codes remapped to their sorted positions.
+        let mut index: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
+        let mut codes: Vec<u32> = values
+            .iter()
+            .map(|s| {
+                let next = index.len() as u32;
+                *index.entry(s).or_insert(next)
+            })
+            .collect();
+        let mut distinct: Vec<(&str, u32)> = index.into_iter().collect();
+        distinct.sort_unstable();
+        let mut remap = vec![0u32; distinct.len()];
+        for (sorted, &(_, first_seen)) in (0u32..).zip(&distinct) {
+            remap[first_seen as usize] = sorted;
+        }
+        for c in &mut codes {
+            *c = remap[*c as usize];
+        }
+        let dict = distinct.into_iter().map(|(s, _)| s.to_owned()).collect();
         let raw_seg_bytes =
             values.chunks(seg_rows).map(|c| c.iter().map(|s| s.len() as u64 + 4).sum()).collect();
         Self { dict, codes: ColumnStore::build(codes, seg_rows, compression), raw_seg_bytes }
