@@ -6,6 +6,7 @@
 //! integer ops stay integer, `to_f64` promotes, comparisons yield masks.
 
 use crate::batch::{Batch, Vector};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// A vectorized expression.
@@ -62,6 +63,86 @@ pub enum Expr {
     /// boundaries `<=` the value (e.g. year extraction from day numbers
     /// with year-start boundaries).
     BucketI32(Box<Expr>, Vec<i32>),
+}
+
+/// One operand of a binary primitive: a vector, or a literal read as a
+/// scalar.
+#[derive(Clone, Copy)]
+enum Arg<'a, T> {
+    Col(&'a [T]),
+    Val(T),
+}
+
+/// The binary primitive: `f` over two vectors, a vector and a scalar
+/// (either side, operand order kept) or two scalars.
+fn map2<T: Copy, R: Clone>(a: Arg<T>, b: Arg<T>, n: usize, f: impl Fn(T, T) -> R) -> Vec<R> {
+    match (a, b) {
+        (Arg::Col(x), Arg::Col(y)) => {
+            debug_assert_eq!(x.len(), y.len());
+            x.iter().zip(y).map(|(&x, &y)| f(x, y)).collect()
+        }
+        (Arg::Col(x), Arg::Val(y)) => x.iter().map(|&x| f(x, y)).collect(),
+        (Arg::Val(x), Arg::Col(y)) => y.iter().map(|&y| f(x, y)).collect(),
+        (Arg::Val(x), Arg::Val(y)) => vec![f(x, y); n],
+    }
+}
+
+/// A binary node's operand: `None` for a numeric literal, which the
+/// primitive reads as a scalar, otherwise the (borrowed) vector.
+fn operand<'a>(e: &Expr, batch: &'a Batch) -> Option<Cow<'a, Vector>> {
+    match e {
+        Expr::LitI32(_) | Expr::LitI64(_) | Expr::LitU32(_) | Expr::LitF64(_) => None,
+        _ => Some(e.eval_ref(batch)),
+    }
+}
+
+/// The typed [`Arg`] of operand `$e` (evaluated as `$v`, see
+/// [`operand`]) when it is a `$vec` vector or a `$lit` literal.
+macro_rules! arg {
+    ($e:expr, $v:expr, $vec:path, $lit:path) => {
+        match ($e, $v.as_deref()) {
+            ($lit(s), _) => Some(Arg::Val(*s)),
+            (_, Some($vec(x))) => Some(Arg::Col(x.as_slice())),
+            _ => None,
+        }
+    };
+}
+
+/// The binary primitive `$f` over operands `$a`, `$b` of the first
+/// listed `$vec` vector / `$lit` literal type both have, its result
+/// wrapped in `$out`; any other pair panics with "`$what` type mismatch".
+macro_rules! binary {
+    ($a:expr, $b:expr, $batch:expr, $f:expr, $what:literal,
+     $($vec:path, $lit:path => $out:path);*) => {{
+        let (a, b, batch): (&Expr, &Expr, &Batch) = ($a, $b, $batch);
+        let (va, vb) = (operand(a, batch), operand(b, batch));
+        $(if let (Some(x), Some(y)) = (arg!(a, va, $vec, $lit), arg!(b, vb, $vec, $lit)) {
+            $out(map2(x, y, batch.len(), $f))
+        } else)* {
+            panic!(concat!($what, " type mismatch"))
+        }
+    }};
+}
+
+/// Integer and f64 arithmetic (u32 dictionary codes have none).
+macro_rules! arith {
+    ($a:expr, $b:expr, $batch:expr, $f:expr) => {
+        binary!($a, $b, $batch, $f, "arith",
+            Vector::I32, Expr::LitI32 => Vector::I32;
+            Vector::I64, Expr::LitI64 => Vector::I64;
+            Vector::F64, Expr::LitF64 => Vector::F64)
+    };
+}
+
+/// Comparisons of any value type, yielding a mask.
+macro_rules! compare {
+    ($a:expr, $b:expr, $batch:expr, $f:expr) => {
+        binary!($a, $b, $batch, $f, "compare",
+            Vector::I32, Expr::LitI32 => Vector::Mask;
+            Vector::I64, Expr::LitI64 => Vector::Mask;
+            Vector::U32, Expr::LitU32 => Vector::Mask;
+            Vector::F64, Expr::LitF64 => Vector::Mask)
+    };
 }
 
 impl Expr {
@@ -183,55 +264,65 @@ impl Expr {
     /// Evaluates against a batch, producing one vector of `batch.len()`
     /// values.
     pub fn eval(&self, batch: &Batch) -> Vector {
+        self.eval_ref(batch).into_owned()
+    }
+
+    /// [`Self::eval`] without copies: a column reference borrows the
+    /// batch's vector, `to_f64` of an f64 passes its input through, and
+    /// arithmetic and comparisons read a literal operand as a scalar
+    /// instead of broadcasting it (X100's `_val` primitives).
+    pub fn eval_ref<'a>(&self, batch: &'a Batch) -> Cow<'a, Vector> {
         let n = batch.len();
-        match self {
-            Expr::Col(i) => batch.col(*i).clone(),
+        Cow::Owned(match self {
+            Expr::Col(i) => return Cow::Borrowed(batch.col(*i)),
             Expr::LitI32(v) => Vector::I32(vec![*v; n]),
             Expr::LitI64(v) => Vector::I64(vec![*v; n]),
             Expr::LitU32(v) => Vector::U32(vec![*v; n]),
             Expr::LitF64(v) => Vector::F64(vec![*v; n]),
             Expr::LitBool(v) => Vector::Mask(vec![*v; n]),
-            Expr::Add(a, b) => arith(&a.eval(batch), &b.eval(batch), ArithOp::Add),
-            Expr::Sub(a, b) => arith(&a.eval(batch), &b.eval(batch), ArithOp::Sub),
-            Expr::Mul(a, b) => arith(&a.eval(batch), &b.eval(batch), ArithOp::Mul),
-            Expr::ToF64(a) => to_f64(&a.eval(batch)),
-            Expr::Eq(a, b) => compare(&a.eval(batch), &b.eval(batch), CmpOp::Eq),
-            Expr::Ne(a, b) => compare(&a.eval(batch), &b.eval(batch), CmpOp::Ne),
-            Expr::Lt(a, b) => compare(&a.eval(batch), &b.eval(batch), CmpOp::Lt),
-            Expr::Le(a, b) => compare(&a.eval(batch), &b.eval(batch), CmpOp::Le),
-            Expr::Gt(a, b) => compare(&a.eval(batch), &b.eval(batch), CmpOp::Gt),
-            Expr::Ge(a, b) => compare(&a.eval(batch), &b.eval(batch), CmpOp::Ge),
+            Expr::Add(a, b) => arith!(a, b, batch, |x, y| x + y),
+            Expr::Sub(a, b) => arith!(a, b, batch, |x, y| x - y),
+            Expr::Mul(a, b) => arith!(a, b, batch, |x, y| x * y),
+            Expr::ToF64(a) => {
+                let v = a.eval_ref(batch);
+                Vector::F64(match &*v {
+                    Vector::F64(_) => return v,
+                    Vector::I32(x) => x.iter().map(|&v| v as f64).collect(),
+                    Vector::I64(x) => x.iter().map(|&v| v as f64).collect(),
+                    Vector::U32(x) => x.iter().map(|&v| v as f64).collect(),
+                    Vector::Mask(_) | Vector::Lazy { .. } => panic!("cannot promote to f64"),
+                })
+            }
+            Expr::Eq(a, b) => compare!(a, b, batch, |x, y| x == y),
+            Expr::Ne(a, b) => compare!(a, b, batch, |x, y| x != y),
+            Expr::Lt(a, b) => compare!(a, b, batch, |x, y| x < y),
+            Expr::Le(a, b) => compare!(a, b, batch, |x, y| x <= y),
+            Expr::Gt(a, b) => compare!(a, b, batch, |x, y| x > y),
+            Expr::Ge(a, b) => compare!(a, b, batch, |x, y| x >= y),
             Expr::And(a, b) => {
-                let (av, bv) = (a.eval(batch), b.eval(batch));
+                let (av, bv) = (a.eval_ref(batch), b.eval_ref(batch));
                 let (am, bm) = (av.as_mask(), bv.as_mask());
                 Vector::Mask(am.iter().zip(bm).map(|(&x, &y)| x & y).collect())
             }
             Expr::Or(a, b) => {
-                let (av, bv) = (a.eval(batch), b.eval(batch));
+                let (av, bv) = (a.eval_ref(batch), b.eval_ref(batch));
                 let (am, bm) = (av.as_mask(), bv.as_mask());
                 Vector::Mask(am.iter().zip(bm).map(|(&x, &y)| x | y).collect())
             }
-            Expr::Not(a) => {
-                let av = a.eval(batch);
-                Vector::Mask(av.as_mask().iter().map(|&x| !x).collect())
-            }
+            Expr::Not(a) => Vector::Mask(a.eval_ref(batch).as_mask().iter().map(|&x| !x).collect()),
             Expr::InSet(a, set) => {
-                let av = a.eval(batch);
+                let av = a.eval_ref(batch);
                 Vector::Mask((0..n).map(|i| set.contains(&av.key_at(i))).collect())
             }
             Expr::Cond(m, t, e) => {
-                let mv = m.eval(batch);
-                let mask = mv.as_mask();
-                let tv = t.eval(batch);
-                let ev = e.eval(batch);
-                cond_select(mask, &tv, &ev)
+                cond_select(m.eval_ref(batch).as_mask(), &t.eval_ref(batch), &e.eval_ref(batch))
             }
             Expr::BucketI32(a, bounds) => {
-                let av = a.eval(batch);
+                let av = a.eval_ref(batch);
                 let x = av.as_i32();
                 Vector::I32(x.iter().map(|v| bounds.partition_point(|b| b <= v) as i32).collect())
             }
-        }
+        })
     }
 }
 
@@ -250,77 +341,6 @@ fn cond_select(mask: &[bool], t: &Vector, e: &Vector) -> Vector {
             mask.iter().zip(a.iter().zip(b)).map(|(&m, (&x, &y))| if m { x } else { y }).collect(),
         ),
         _ => panic!("cond branch type mismatch"),
-    }
-}
-
-#[derive(Clone, Copy)]
-enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-}
-
-#[derive(Clone, Copy)]
-enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-macro_rules! arith_loop {
-    ($a:expr, $b:expr, $op:expr, $ctor:path) => {{
-        debug_assert_eq!($a.len(), $b.len());
-        $ctor(match $op {
-            ArithOp::Add => $a.iter().zip($b).map(|(&x, &y)| x + y).collect(),
-            ArithOp::Sub => $a.iter().zip($b).map(|(&x, &y)| x - y).collect(),
-            ArithOp::Mul => $a.iter().zip($b).map(|(&x, &y)| x * y).collect(),
-        })
-    }};
-}
-
-fn arith(a: &Vector, b: &Vector, op: ArithOp) -> Vector {
-    match (a, b) {
-        (Vector::I32(x), Vector::I32(y)) => arith_loop!(x, y, op, Vector::I32),
-        (Vector::I64(x), Vector::I64(y)) => arith_loop!(x, y, op, Vector::I64),
-        (Vector::F64(x), Vector::F64(y)) => arith_loop!(x, y, op, Vector::F64),
-        _ => panic!("arith type mismatch"),
-    }
-}
-
-fn to_f64(a: &Vector) -> Vector {
-    match a {
-        Vector::I32(x) => Vector::F64(x.iter().map(|&v| v as f64).collect()),
-        Vector::I64(x) => Vector::F64(x.iter().map(|&v| v as f64).collect()),
-        Vector::U32(x) => Vector::F64(x.iter().map(|&v| v as f64).collect()),
-        Vector::F64(x) => Vector::F64(x.clone()),
-        Vector::Mask(_) | Vector::Lazy { .. } => panic!("cannot promote to f64"),
-    }
-}
-
-macro_rules! cmp_loop {
-    ($a:expr, $b:expr, $op:expr) => {{
-        debug_assert_eq!($a.len(), $b.len());
-        Vector::Mask(match $op {
-            CmpOp::Eq => $a.iter().zip($b).map(|(x, y)| x == y).collect(),
-            CmpOp::Ne => $a.iter().zip($b).map(|(x, y)| x != y).collect(),
-            CmpOp::Lt => $a.iter().zip($b).map(|(x, y)| x < y).collect(),
-            CmpOp::Le => $a.iter().zip($b).map(|(x, y)| x <= y).collect(),
-            CmpOp::Gt => $a.iter().zip($b).map(|(x, y)| x > y).collect(),
-            CmpOp::Ge => $a.iter().zip($b).map(|(x, y)| x >= y).collect(),
-        })
-    }};
-}
-
-fn compare(a: &Vector, b: &Vector, op: CmpOp) -> Vector {
-    match (a, b) {
-        (Vector::I32(x), Vector::I32(y)) => cmp_loop!(x, y, op),
-        (Vector::I64(x), Vector::I64(y)) => cmp_loop!(x, y, op),
-        (Vector::U32(x), Vector::U32(y)) => cmp_loop!(x, y, op),
-        (Vector::F64(x), Vector::F64(y)) => cmp_loop!(x, y, op),
-        _ => panic!("compare type mismatch"),
     }
 }
 
@@ -374,6 +394,14 @@ mod tests {
         let v = e.eval(&batch());
         assert_eq!(v.len(), 5);
         assert!((v.as_f64()[1] - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn columns_and_f64_promotion_borrow() {
+        let b = batch();
+        assert!(matches!(Expr::col(0).eval_ref(&b), Cow::Borrowed(_)));
+        assert!(matches!(Expr::col(1).to_f64().eval_ref(&b), Cow::Borrowed(_)));
+        assert!(matches!(Expr::col(0).to_f64().eval_ref(&b), Cow::Owned(Vector::F64(_))));
     }
 
     #[test]

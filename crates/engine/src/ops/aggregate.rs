@@ -1,10 +1,14 @@
-//! Hash aggregation with grouping.
+//! Hash aggregation with grouping, a column at a time: per batch the
+//! key and input expressions are evaluated once, one group-id pass maps
+//! every row to its group, and one typed loop per aggregate folds the
+//! batch in. Groups keep first-seen order and f64 sums keep row order,
+//! so results equal a row-at-a-time loop bit for bit (DESIGN.md §2).
 
 use crate::batch::{Batch, ColType, Vector};
 use crate::explain::{ExplainNode, OpProfile};
 use crate::expr::Expr;
 use crate::ops::Operator;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// An aggregate over an expression.
 #[derive(Debug, Clone)]
@@ -21,68 +25,285 @@ pub enum AggExpr {
     Max(Expr),
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Acc {
-    SumI64(i64),
-    SumF64(f64),
-    Count(i64),
-    Avg(f64, i64),
-    MinI64(i64),
-    MinF64(f64),
-    MaxI64(i64),
-    MaxF64(f64),
-}
-
-impl Acc {
-    fn update(&mut self, v: &Vector, row: usize) {
+impl AggExpr {
+    fn input(&self) -> Option<&Expr> {
         match self {
-            Acc::SumI64(s) => *s += value_i64(v, row),
-            Acc::SumF64(s) => *s += value_f64(v, row),
-            Acc::Count(c) => *c += 1,
-            Acc::Avg(s, c) => {
-                *s += value_f64(v, row);
-                *c += 1;
-            }
-            Acc::MinI64(m) => *m = (*m).min(value_i64(v, row)),
-            Acc::MinF64(m) => *m = m.min(value_f64(v, row)),
-            Acc::MaxI64(m) => *m = (*m).max(value_i64(v, row)),
-            Acc::MaxF64(m) => *m = m.max(value_f64(v, row)),
+            AggExpr::Sum(e) | AggExpr::Avg(e) | AggExpr::Min(e) | AggExpr::Max(e) => Some(e),
+            AggExpr::Count => None,
         }
     }
 }
 
-#[inline]
-fn value_i64(v: &Vector, row: usize) -> i64 {
-    match v {
-        Vector::I32(x) => x[row] as i64,
-        Vector::I64(x) => x[row],
-        Vector::U32(x) => x[row] as i64,
-        _ => panic!("integer aggregate over non-integer input"),
+/// Largest slot table the group-id pass indexes directly.
+const SLOTS: usize = 4096;
+
+/// Marks an unused slot in [`Groups`]' index and in the slot table.
+const EMPTY: u32 = u32::MAX;
+
+/// Runs `$body` with `$x` bound to the slice of an integer vector.
+macro_rules! with_ints {
+    ($v:expr, $x:ident => $body:expr, $other:expr) => {
+        match $v {
+            Vector::I32($x) => $body,
+            Vector::I64($x) => $body,
+            Vector::U32($x) => $body,
+            _ => $other,
+        }
+    };
+}
+
+/// `(min, max − min + 1)` of integer keys, when that range fits [`SLOTS`].
+fn span<T: Copy + Into<i64>>(x: &[T]) -> Option<(i64, usize)> {
+    let (lo, hi) = x.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| {
+        let v = v.into();
+        (lo.min(v), hi.max(v))
+    });
+    let range = hi as i128 - lo as i128 + 1;
+    (1..=SLOTS as i128).contains(&range).then_some((lo, range as usize))
+}
+
+/// Adds each row's mixed-radix digit `(key − min) · stride` to its slot.
+fn add_digit<T: Copy + Into<i64>>(x: &[T], min: i64, stride: usize, slots: &mut [u32]) {
+    for (s, &v) in slots.iter_mut().zip(x) {
+        *s += ((v.into() - min) as usize * stride) as u32;
     }
 }
 
-#[inline]
-fn value_f64(v: &Vector, row: usize) -> f64 {
-    match v {
-        Vector::I32(x) => x[row] as f64,
-        Vector::I64(x) => x[row] as f64,
-        Vector::U32(x) => x[row] as f64,
-        Vector::F64(x) => x[row],
-        Vector::Mask(_) | Vector::Lazy { .. } => panic!("aggregate over non-value vector"),
+/// Group keys in first-seen order — `width` widened values
+/// ([`Vector::key_at`]) per group in one flat store — with an
+/// open-addressing index from key to group id (multiplicative hash,
+/// linear probing).
+#[derive(Default)]
+struct Groups {
+    width: usize,
+    len: usize,
+    keys: Vec<u64>,
+    index: Vec<u32>,
+    shift: u32,
+    /// Per-batch slot table of the direct-indexed path.
+    slots: Vec<u32>,
+    /// One row's key, for probing.
+    probe: Vec<u64>,
+    /// Rows per group, in [`LANES`] partials.
+    counts: Vec<i64>,
+}
+
+impl Groups {
+    fn new(width: usize) -> Self {
+        Self { width, probe: vec![0; width], ..Self::default() }
+    }
+
+    fn home(&self, key: &[u64]) -> usize {
+        let h = key.iter().fold(0u64, |h, &k| (h ^ k).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        (h >> self.shift) as usize
+    }
+
+    /// The id of the group whose key is in `self.probe`, adding it when
+    /// it is new.
+    fn find_or_insert(&mut self) -> u32 {
+        if 2 * (self.len + 1) > self.index.len() {
+            let size = (2 * self.index.len()).max(16);
+            self.index = vec![EMPTY; size];
+            self.shift = 64 - size.trailing_zeros();
+            for g in 0..self.len {
+                let mut i = self.home(&self.keys[g * self.width..(g + 1) * self.width]);
+                while self.index[i] != EMPTY {
+                    i = (i + 1) & (self.index.len() - 1);
+                }
+                self.index[i] = g as u32;
+            }
+        }
+        let mut i = self.home(&self.probe);
+        loop {
+            let g = self.index[i];
+            if g == EMPTY {
+                let g = self.len as u32;
+                self.index[i] = g;
+                self.keys.extend_from_slice(&self.probe);
+                self.counts.extend([0; LANES]);
+                self.len += 1;
+                return g;
+            }
+            let at = g as usize * self.width;
+            if self.keys[at..at + self.width] == self.probe[..] {
+                return g;
+            }
+            i = (i + 1) & (self.index.len() - 1);
+        }
+    }
+
+    /// Probes the group of row `row`.
+    fn row(&mut self, keys: &[Cow<'_, Vector>], row: usize) -> u32 {
+        for (slot, k) in self.probe.iter_mut().zip(keys) {
+            *slot = k.key_at(row);
+        }
+        self.find_or_insert()
+    }
+
+    /// The group-id pass: writes each of `n` rows' group id into `gids`,
+    /// adding unseen keys in row order, and counts the rows per group.
+    fn assign(&mut self, keys: &[Cow<'_, Vector>], n: usize, gids: &mut Vec<u32>) {
+        gids.clear();
+        gids.resize(n, 0);
+        // Each row's mixed-radix slot, while the keys' ranges fit.
+        let mut size = 1;
+        for k in keys {
+            match with_ints!(&**k, x => span(x), None) {
+                Some((min, range)) if size * range <= SLOTS => {
+                    with_ints!(&**k, x => add_digit(x, min, size, gids), unreachable!());
+                    size *= range;
+                }
+                _ => {
+                    size = 0;
+                    break;
+                }
+            }
+        }
+        if size == 0 {
+            for (row, g) in gids.iter_mut().enumerate() {
+                *g = self.row(keys, row);
+            }
+        } else {
+            self.slots.clear();
+            self.slots.resize(size, EMPTY);
+            for (row, g) in gids.iter_mut().enumerate() {
+                let s = *g as usize;
+                if self.slots[s] == EMPTY {
+                    self.slots[s] = self.row(keys, row);
+                }
+                *g = self.slots[s];
+            }
+        }
+        for (i, &g) in gids.iter().enumerate() {
+            self.counts[g as usize * LANES + i % LANES] += 1;
+        }
+    }
+
+    /// Key column `k` of the output, one value per group.
+    fn key_column(&self, k: usize, ty: ColType) -> Vector {
+        let vals = self.keys.iter().skip(k).step_by(self.width);
+        match ty {
+            ColType::I32 => Vector::I32(vals.map(|&v| v as u32 as i32).collect()),
+            ColType::I64 => Vector::I64(vals.map(|&v| v as i64).collect()),
+            ColType::U32 => Vector::U32(vals.map(|&v| v as u32).collect()),
+            ColType::F64 => Vector::F64(vals.map(|&v| f64::from_bits(v)).collect()),
+        }
     }
 }
 
-fn fresh_acc(agg: &AggExpr, input: &Vector) -> Acc {
-    let is_float = matches!(input, Vector::F64(_));
-    match agg {
-        AggExpr::Sum(_) if is_float => Acc::SumF64(0.0),
-        AggExpr::Sum(_) => Acc::SumI64(0),
-        AggExpr::Count => Acc::Count(0),
-        AggExpr::Avg(_) => Acc::Avg(0.0, 0),
-        AggExpr::Min(_) if is_float => Acc::MinF64(f64::INFINITY),
-        AggExpr::Min(_) => Acc::MinI64(i64::MAX),
-        AggExpr::Max(_) if is_float => Acc::MaxF64(f64::NEG_INFINITY),
-        AggExpr::Max(_) => Acc::MaxI64(i64::MIN),
+/// Integer accumulators keep this many partials per group (row `i` feeds
+/// partial `i % LANES`), so consecutive rows of one group do not wait on
+/// each other's store; f64 sums keep one partial to stay in row order.
+const LANES: usize = 4;
+
+/// One aggregate's running state, an array indexed by group id (times
+/// [`LANES`] for integers). `Count` and `Avg` divide by the group's row
+/// count, which [`Groups`] keeps once for all aggregates.
+enum State {
+    Count,
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+    AvgInt(Vec<i128>),
+    AvgF64(Vec<f64>),
+}
+
+/// `acc[gid[i] · lanes + i % lanes] ⊕= x[i]` for one batch, in row order.
+#[inline]
+fn fold<A, T: Copy>(acc: &mut [A], lanes: usize, gids: &[u32], x: &[T], f: impl Fn(&mut A, T)) {
+    for (i, (&g, &v)) in gids.iter().zip(x).enumerate() {
+        f(&mut acc[g as usize * lanes + i % lanes], v);
+    }
+}
+
+/// [`fold`] of integer input, widened to i64, into [`LANES`] partials.
+fn fold_int<A, T: Copy + Into<i64>>(acc: &mut [A], gids: &[u32], x: &[T], f: impl Fn(&mut A, i64)) {
+    fold(acc, LANES, gids, x, |a, v| f(a, v.into()))
+}
+
+impl State {
+    /// The state for `agg`, typed by its first input (integer when no
+    /// input was ever seen).
+    fn new(agg: &AggExpr, input: Option<&Vector>) -> Self {
+        let float = matches!(input, Some(Vector::F64(_)));
+        match agg {
+            AggExpr::Count => State::Count,
+            AggExpr::Avg(_) if float => State::AvgF64(Vec::new()),
+            AggExpr::Avg(_) => State::AvgInt(Vec::new()),
+            _ if float => State::F64(Vec::new()),
+            _ => State::I64(Vec::new()),
+        }
+    }
+
+    /// Extends the state to `n` groups with `agg`'s identity.
+    fn grow(&mut self, agg: &AggExpr, n: usize) {
+        let (int, float) = match agg {
+            AggExpr::Min(_) => (i64::MAX, f64::INFINITY),
+            AggExpr::Max(_) => (i64::MIN, f64::NEG_INFINITY),
+            _ => (0, 0.0),
+        };
+        match self {
+            State::Count => {}
+            State::I64(a) => a.resize(n * LANES, int),
+            State::AvgInt(a) => a.resize(n * LANES, 0),
+            State::F64(a) | State::AvgF64(a) => a.resize(n, float),
+        }
+    }
+
+    /// One tight loop folding a batch's `input` into the groups `gids`.
+    fn update(&mut self, agg: &AggExpr, input: Option<&Vector>, gids: &[u32]) {
+        let non_int = || panic!("integer aggregate over non-integer input");
+        match (self, agg, input) {
+            (State::Count, ..) => {}
+            (State::I64(a), AggExpr::Sum(_), Some(v)) => {
+                with_ints!(v, x => fold_int(a, gids, x, |a, v| *a += v), non_int())
+            }
+            (State::I64(a), AggExpr::Min(_), Some(v)) => {
+                with_ints!(v, x => fold_int(a, gids, x, |a, v| *a = (*a).min(v)), non_int())
+            }
+            (State::I64(a), AggExpr::Max(_), Some(v)) => {
+                with_ints!(v, x => fold_int(a, gids, x, |a, v| *a = (*a).max(v)), non_int())
+            }
+            (State::AvgInt(s), _, Some(v)) => {
+                with_ints!(v, x => fold_int(s, gids, x, |s, v| *s += i128::from(v)), non_int())
+            }
+            (State::F64(a), AggExpr::Sum(_), Some(Vector::F64(x)))
+            | (State::AvgF64(a), _, Some(Vector::F64(x))) => fold(a, 1, gids, x, |a, v| *a += v),
+            (State::F64(a), AggExpr::Min(_), Some(Vector::F64(x))) => {
+                fold(a, 1, gids, x, |a, v| *a = a.min(v))
+            }
+            (State::F64(a), AggExpr::Max(_), Some(Vector::F64(x))) => {
+                fold(a, 1, gids, x, |a, v| *a = a.max(v))
+            }
+            _ => panic!("aggregate input changed type between batches"),
+        }
+    }
+
+    /// The output column, given each group's row count.
+    fn finish(mut self, agg: &AggExpr, counts: &[i64]) -> Vector {
+        self.grow(agg, counts.len());
+        let avg = |s: f64, c: i64| if c == 0 { f64::NAN } else { s / c as f64 };
+        match self {
+            State::Count => Vector::I64(counts.to_vec()),
+            State::I64(a) => Vector::I64(
+                a.chunks(LANES)
+                    .map(|l| match agg {
+                        AggExpr::Min(_) => l.iter().copied().fold(i64::MAX, i64::min),
+                        AggExpr::Max(_) => l.iter().copied().fold(i64::MIN, i64::max),
+                        _ => l.iter().sum(),
+                    })
+                    .collect(),
+            ),
+            State::F64(a) => Vector::F64(a),
+            State::AvgInt(s) => Vector::F64(
+                s.chunks(LANES)
+                    .zip(counts)
+                    .map(|(l, &c)| avg(l.iter().sum::<i128>() as f64, c))
+                    .collect(),
+            ),
+            State::AvgF64(s) => {
+                Vector::F64(s.iter().zip(counts).map(|(&s, &c)| avg(s, c)).collect())
+            }
+        }
     }
 }
 
@@ -111,81 +332,43 @@ impl HashAggregate {
             return Ok(None);
         }
         self.done = true;
-        let mut groups: HashMap<Box<[u64]>, usize> = HashMap::new();
-        let mut key_vals: Vec<Box<[u64]>> = Vec::new();
-        let mut accs: Vec<Vec<Acc>> = Vec::new();
-        let mut key_types: Vec<ColType> = Vec::new();
-        let mut key_buf: Vec<u64> = vec![0; self.keys.len()];
+        let mut groups = Groups::new(self.keys.len());
+        let mut gids: Vec<u32> = Vec::new();
+        // Key types and aggregate states, fixed by the first rows.
+        let mut typed: Option<(Vec<ColType>, Vec<State>)> = None;
         while let Some(mut batch) = self.input.try_next()? {
             self.profile.values_decoded += batch.ensure_values()?;
-            let key_vecs: Vec<Vector> = self.keys.iter().map(|k| k.eval(&batch)).collect();
-            let agg_vecs: Vec<Vector> = self
-                .aggs
-                .iter()
-                .map(|a| match a {
-                    AggExpr::Sum(e) | AggExpr::Avg(e) | AggExpr::Min(e) | AggExpr::Max(e) => {
-                        e.eval(&batch)
-                    }
-                    AggExpr::Count => Vector::I64(vec![0; batch.len()]),
-                })
-                .collect();
-            if key_types.is_empty() {
-                key_types = key_vecs.iter().map(Vector::col_type).collect();
+            if batch.is_empty() {
+                continue;
             }
-            for row in 0..batch.len() {
-                for (slot, kv) in key_buf.iter_mut().zip(key_vecs.iter()) {
-                    *slot = kv.key_at(row);
-                }
-                let gid = match groups.get(key_buf.as_slice()) {
-                    Some(&g) => g,
-                    None => {
-                        let g = key_vals.len();
-                        let key: Box<[u64]> = key_buf.clone().into_boxed_slice();
-                        groups.insert(key.clone(), g);
-                        key_vals.push(key);
-                        accs.push(
-                            self.aggs
-                                .iter()
-                                .zip(agg_vecs.iter())
-                                .map(|(a, v)| fresh_acc(a, v))
-                                .collect(),
-                        );
-                        g
-                    }
-                };
-                for (acc, v) in accs[gid].iter_mut().zip(agg_vecs.iter()) {
-                    acc.update(v, row);
-                }
+            let keys: Vec<Cow<Vector>> = self.keys.iter().map(|k| k.eval_ref(&batch)).collect();
+            let inputs: Vec<Option<Cow<Vector>>> =
+                self.aggs.iter().map(|a| a.input().map(|e| e.eval_ref(&batch))).collect();
+            let (_, states) = typed.get_or_insert_with(|| {
+                let states =
+                    self.aggs.iter().zip(&inputs).map(|(a, v)| State::new(a, v.as_deref()));
+                (keys.iter().map(|k| k.col_type()).collect(), states.collect())
+            });
+            groups.assign(&keys, batch.len(), &mut gids);
+            for ((state, agg), input) in states.iter_mut().zip(&self.aggs).zip(&inputs) {
+                state.grow(agg, groups.len);
+                state.update(agg, input.as_deref(), &gids);
             }
         }
-        if !self.keys.is_empty() && key_vals.is_empty() {
+        let (key_types, states) = match typed {
+            Some(typed) => typed,
             // Keyed group-by over an empty input: no groups, no rows.
-            return Ok(None);
-        }
-        if self.keys.is_empty() && key_vals.is_empty() {
+            None if !self.keys.is_empty() => return Ok(None),
             // Global aggregate over empty input: one identity row.
-            key_vals.push(Box::new([]));
-            accs.push(
-                self.aggs
-                    .iter()
-                    .map(|a| match a {
-                        AggExpr::Count => Acc::Count(0),
-                        AggExpr::Sum(_) => Acc::SumI64(0),
-                        AggExpr::Avg(_) => Acc::Avg(0.0, 0),
-                        AggExpr::Min(_) => Acc::MinI64(i64::MAX),
-                        AggExpr::Max(_) => Acc::MaxI64(i64::MIN),
-                    })
-                    .collect(),
-            );
-        }
-        let n = key_vals.len();
-        let mut columns: Vec<Vector> = Vec::with_capacity(self.keys.len() + self.aggs.len());
-        for (k, ty) in key_types.iter().enumerate() {
-            columns.push(rebuild_key_column(&key_vals, k, *ty));
-        }
-        for a in 0..self.aggs.len() {
-            columns.push(rebuild_agg_column(&accs, a, n));
-        }
+            None => {
+                groups.find_or_insert();
+                (Vec::new(), self.aggs.iter().map(|a| State::new(a, None)).collect())
+            }
+        };
+        let counts: Vec<i64> = groups.counts.chunks(LANES).map(|l| l.iter().sum()).collect();
+        let mut columns: Vec<Vector> =
+            key_types.iter().enumerate().map(|(k, &ty)| groups.key_column(k, ty)).collect();
+        columns.extend(states.into_iter().zip(&self.aggs).map(|(s, a)| s.finish(a, &counts)));
         Ok(Some(Batch::new(columns)))
     }
 }
@@ -208,91 +391,6 @@ impl Operator for HashAggregate {
 
     fn explain(&self) -> ExplainNode {
         ExplainNode::new(self.label(), self.profile, vec![self.input.explain()])
-    }
-}
-
-fn rebuild_key_column(key_vals: &[Box<[u64]>], k: usize, ty: ColType) -> Vector {
-    match ty {
-        ColType::I32 => Vector::I32(key_vals.iter().map(|kv| kv[k] as u32 as i32).collect()),
-        ColType::I64 => Vector::I64(key_vals.iter().map(|kv| kv[k] as i64).collect()),
-        ColType::U32 => Vector::U32(key_vals.iter().map(|kv| kv[k] as u32).collect()),
-        ColType::F64 => Vector::F64(key_vals.iter().map(|kv| f64::from_bits(kv[k])).collect()),
-    }
-}
-
-fn rebuild_agg_column(accs: &[Vec<Acc>], a: usize, n: usize) -> Vector {
-    debug_assert_eq!(accs.len(), n);
-    match accs[0][a] {
-        Acc::SumI64(_) => Vector::I64(
-            accs.iter()
-                .map(|g| match g[a] {
-                    Acc::SumI64(s) => s,
-                    _ => unreachable!(),
-                })
-                .collect(),
-        ),
-        Acc::SumF64(_) => Vector::F64(
-            accs.iter()
-                .map(|g| match g[a] {
-                    Acc::SumF64(s) => s,
-                    _ => unreachable!(),
-                })
-                .collect(),
-        ),
-        Acc::Count(_) => Vector::I64(
-            accs.iter()
-                .map(|g| match g[a] {
-                    Acc::Count(c) => c,
-                    _ => unreachable!(),
-                })
-                .collect(),
-        ),
-        Acc::Avg(..) => Vector::F64(
-            accs.iter()
-                .map(|g| match g[a] {
-                    Acc::Avg(s, c) => {
-                        if c == 0 {
-                            f64::NAN
-                        } else {
-                            s / c as f64
-                        }
-                    }
-                    _ => unreachable!(),
-                })
-                .collect(),
-        ),
-        Acc::MinI64(_) => Vector::I64(
-            accs.iter()
-                .map(|g| match g[a] {
-                    Acc::MinI64(m) => m,
-                    _ => unreachable!(),
-                })
-                .collect(),
-        ),
-        Acc::MinF64(_) => Vector::F64(
-            accs.iter()
-                .map(|g| match g[a] {
-                    Acc::MinF64(m) => m,
-                    _ => unreachable!(),
-                })
-                .collect(),
-        ),
-        Acc::MaxI64(_) => Vector::I64(
-            accs.iter()
-                .map(|g| match g[a] {
-                    Acc::MaxI64(m) => m,
-                    _ => unreachable!(),
-                })
-                .collect(),
-        ),
-        Acc::MaxF64(_) => Vector::F64(
-            accs.iter()
-                .map(|g| match g[a] {
-                    Acc::MaxF64(m) => m,
-                    _ => unreachable!(),
-                })
-                .collect(),
-        ),
     }
 }
 

@@ -12,11 +12,12 @@
 //! selective filter decodes a small fraction of the values a
 //! decode-then-filter plan would.
 
-use crate::batch::{Batch, PushPred};
+use crate::batch::{Batch, PushPred, Vector};
 use crate::explain::{ExplainNode, OpProfile};
 use crate::expr::Expr;
 use crate::ops::Operator;
 use scc_core::PredOp;
+use std::borrow::Cow;
 
 /// Filter operator. Empty result vectors are skipped, so downstream
 /// operators always see non-empty batches.
@@ -160,7 +161,7 @@ impl Select {
             for col in referenced_cols(c) {
                 decoded += batch.materialize_col(col)?;
             }
-            let v = c.eval(batch);
+            let v = c.eval_ref(batch);
             for (m, s) in mask.iter_mut().zip(v.as_mask()) {
                 *m &= *s;
             }
@@ -175,16 +176,17 @@ impl Select {
             };
             let n = batch.len();
             let (mask, mut decoded) = if batch.has_lazy() {
-                self.eval_with_pushdown(&mut batch)?
+                let (mask, decoded) = self.eval_with_pushdown(&mut batch)?;
+                (Cow::Owned(Vector::Mask(mask)), decoded)
             } else {
-                (self.predicate.eval(&batch).as_mask().to_vec(), 0)
+                (self.predicate.eval_ref(&batch), 0)
             };
             // Predicated compaction (§2.2 / Ross PODS'02): always store
             // the index, advance the cursor by the boolean — no
             // data-dependent branch for the CPU to mispredict.
             let mut indices = vec![0usize; n];
             let mut j = 0usize;
-            for (i, &m) in mask.iter().enumerate() {
+            for (i, &m) in mask.as_mask().iter().enumerate() {
                 indices[j] = i;
                 j += m as usize;
             }
@@ -253,7 +255,7 @@ impl Operator for Select {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{CodeCol, ColType, LazyCol, Vector};
+    use crate::batch::{CodeCol, ColType, LazyCol};
     use crate::ops::{collect, source::MemSource};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;

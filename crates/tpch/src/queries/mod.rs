@@ -207,4 +207,58 @@ mod meta_tests {
             assert!(run.stats.io_bytes > 0, "q{q} charged no I/O");
         }
     }
+
+    /// FNV-1a over every result column: its type tag, its length, then
+    /// each value widened like a group key (integers exactly, f64 by
+    /// `to_bits()`), so any change to a value, a row order or a float's
+    /// summation order changes the hash.
+    fn result_hash(batch: &scc_engine::Batch) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut put = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for c in &batch.columns {
+            put(c.col_type().tag() as u64);
+            put(c.len() as u64);
+            for i in 0..c.len() {
+                put(c.key_at(i));
+            }
+        }
+        h
+    }
+
+    /// Every query's result on `small_db` is pinned bit for bit. The
+    /// hashes were captured before the engine's column-at-a-time
+    /// aggregation replaced the row-at-a-time one; a mismatch means a
+    /// result (or an f64 summation order) changed.
+    #[test]
+    fn results_match_golden_hashes() {
+        const GOLDEN: [(u32, u64); 15] = [
+            (1, 0x8d7a510b6b955606),
+            (3, 0x1aa66c463f3e58bb),
+            (4, 0x702b5cf780b43465),
+            (5, 0x4cd7852f69edb959),
+            (6, 0x6ae8eef76b1f7658),
+            (7, 0xee253b63866d5ca5),
+            (10, 0xe06c86d4cd699b60),
+            (11, 0x36115aec622014f2),
+            (12, 0x060d0bf8b72664a2),
+            (14, 0x4ea3148800120c08),
+            (15, 0x50ebb6f41a5bb439),
+            (17, 0x0d43829356d03948),
+            (18, 0xcf9f6312a2c872d8),
+            (19, 0x7dfbfec2eefff848),
+            (21, 0x887239a70cd8f872),
+        ];
+        let db = testkit::small_db();
+        let got: Vec<(u32, u64)> = GOLDEN
+            .iter()
+            .map(|&(q, _)| {
+                (q, result_hash(&run_query(db, &crate::QueryConfig::default(), q).batch))
+            })
+            .collect();
+        assert_eq!(got, GOLDEN);
+    }
 }

@@ -42,9 +42,12 @@ pub fn run(db: &TpchDb, cfg: &QueryConfig) -> QueryRun {
         );
         let groups = scc_engine::ops::collect(&mut agg);
         // The HAVING threshold needs the grand total, so finish in plain
-        // code (the paper's engine would run a scalar subquery here).
-        let keys = groups.col(0).as_i64();
-        let vals = groups.col(1).as_f64();
+        // code (the paper's engine would run a scalar subquery here). A
+        // nation without suppliers at a tiny scale factor has no groups.
+        let (keys, vals) = match groups.columns.as_slice() {
+            [] => (&[][..], &[][..]),
+            _ => (groups.col(0).as_i64(), groups.col(1).as_f64()),
+        };
         let total: f64 = vals.iter().sum();
         let threshold = total * fraction;
         let mut rows: Vec<(i64, f64)> =
@@ -103,5 +106,16 @@ mod tests {
     #[test]
     fn invariant_under_storage_configs() {
         assert_config_invariant(11);
+    }
+
+    /// At SF 0.002 (20 suppliers) no supplier is German, so the keyed
+    /// aggregate emits no batch; the query must answer with no rows.
+    #[test]
+    fn nation_without_suppliers_yields_no_rows() {
+        let db = crate::TpchDb::load(crate::gen::generate(0.002, 20_060_703), Some(2048));
+        let germany = nation_key(&db, "GERMANY");
+        assert!(!db.raw.supplier.nationkey.contains(&germany), "precondition");
+        let out = run(&db, &QueryConfig::default()).batch;
+        assert_eq!((out.columns.len(), out.len()), (2, 0));
     }
 }
