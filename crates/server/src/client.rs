@@ -29,7 +29,7 @@ use crate::protocol::{
     self, ErrorCode, HealthState, HealthWindow, PredOp, Predicate, RawSegment, Request, Response,
 };
 use scc_core::frame::{self, FrameError};
-use scc_core::{Error, Segment, Value, BLOCK};
+use scc_core::{Error, Segment, Value, WireError, BLOCK};
 use scc_engine::{ops, Batch, ColType, Expr, Select, Vector};
 use scc_obs::trace;
 use scc_storage::{stats_handle, Column, NumColumn, Scan, ScanOptions, Table};
@@ -354,8 +354,15 @@ impl Client {
         }
     }
 
-    /// Runs a scan and accumulates the streamed batches into one
-    /// [`Batch`]. Also returns the server's end-of-stream row count.
+    /// Runs a scan and returns its rows as one [`Batch`], plus the
+    /// server's end-of-stream row count.
+    ///
+    /// Without a predicate the server ships the columns' stored
+    /// segments ([`Request::ScanSegments`]) and they are decoded here,
+    /// each column into one vector grown exactly once per frame;
+    /// `threads` has no effect, since the server decodes nothing. With a
+    /// predicate the server filters and decodes on up to `threads`
+    /// workers and streams [`Response::Batch`] frames.
     pub fn scan(
         &mut self,
         table: &str,
@@ -363,12 +370,11 @@ impl Client {
         predicate: Option<Predicate>,
         threads: u8,
     ) -> Result<(Batch, u64), ClientError> {
-        let req = Request::Scan {
-            table: table.to_string(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            predicate,
-            threads,
-        };
+        let columns: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
+        if predicate.is_none() {
+            return self.scan_segments(table, columns);
+        }
+        let req = Request::Scan { table: table.to_string(), columns, predicate, threads };
         self.send(&req)?;
         let mut acc: Option<Batch> = None;
         loop {
@@ -388,6 +394,57 @@ impl Client {
                     return Err(ClientError::Server { code, message, retry_after_ms });
                 }
                 _ => return Err(ClientError::Unexpected("wanted Batch or ScanDone")),
+            }
+        }
+    }
+
+    /// The stored-form scan behind an unfiltered [`Client::scan`]. Every
+    /// frame must extend its column exactly where the column ends, and
+    /// `ScanDone` must close every requested column at the same row
+    /// count; anything else is a typed error, never a short batch.
+    fn scan_segments(
+        &mut self,
+        table: &str,
+        columns: Vec<String>,
+    ) -> Result<(Batch, u64), ClientError> {
+        let want = columns.len();
+        self.send(&Request::ScanSegments { table: table.to_string(), columns })?;
+        let mut out: Vec<Vector> = Vec::with_capacity(want);
+        let mut frames = 0u32;
+        loop {
+            match self.recv()? {
+                Response::RawSegments { vtype, row_start, row_len, segments } => {
+                    frames += 1;
+                    let col = frame_column(&mut out, want, vtype, row_start, row_len)?;
+                    if !segments.is_empty() {
+                        append_segments(col, row_start, row_len, &segments)?;
+                    } else {
+                        // No stored form for these rows: their values follow.
+                        match self.recv()? {
+                            Response::Values(v) if v.len() == row_len as usize => {
+                                append_values(col, &v)?
+                            }
+                            Response::Error { code, message, retry_after_ms } => {
+                                return Err(ClientError::Server { code, message, retry_after_ms });
+                            }
+                            _ => {
+                                return Err(malformed("rows without stored form lack their Values"))
+                            }
+                        }
+                    }
+                }
+                Response::ScanDone { rows, batches } => {
+                    let closed = out.iter().all(|c| c.len() as u64 == rows);
+                    let complete = if rows == 0 { out.is_empty() } else { out.len() == want };
+                    if !(closed && complete && batches == frames) {
+                        return Err(malformed("stored-form scan ended with a column untiled"));
+                    }
+                    return Ok((Batch::new(out), rows));
+                }
+                Response::Error { code, message, retry_after_ms } => {
+                    return Err(ClientError::Server { code, message, retry_after_ms });
+                }
+                _ => return Err(ClientError::Unexpected("wanted RawSegments or ScanDone")),
             }
         }
     }
@@ -712,54 +769,141 @@ impl RetryingClient {
     }
 }
 
-/// Decodes a raw segment-range response: for each shipped compressed
-/// segment, decode from the 128-block boundary at or below the
-/// requested offset and copy out the overlap — exactly the
-/// slice-granular access the storage layer performs, run client-side.
+/// A well-checksummed response stream whose frames do not fit together.
+fn malformed(what: &'static str) -> ClientError {
+    ClientError::Decode(Error::Wire(WireError::Corrupt(what)))
+}
+
+/// The column type a `RawSegments` value-type tag names; segments
+/// store only integer columns.
+fn stored_type(vtype: u8) -> Result<ColType, ClientError> {
+    ColType::from_tag(vtype)
+        .filter(|&t| t != ColType::F64)
+        .ok_or(ClientError::Unexpected("undecodable raw segment value type"))
+}
+
+/// Decodes a raw segment-range response into a fresh vector.
 fn decode_raw(
     vtype: u8,
     row_start: u64,
     row_len: u32,
     segments: &[RawSegment],
 ) -> Result<Vector, ClientError> {
-    fn fill<V: Value>(
-        row_start: usize,
-        row_len: usize,
-        segments: &[RawSegment],
-    ) -> Result<Vec<V>, ClientError> {
-        let mut out = vec![V::default(); row_len];
-        let mut covered = 0usize;
-        for raw in segments {
-            let seg = Segment::<V>::from_bytes(&raw.bytes).map_err(Error::Wire)?;
-            let first = raw.first_row as usize;
-            let lo = row_start.max(first);
-            let hi = (row_start + row_len).min(first + seg.len());
-            if lo >= hi {
-                continue;
-            }
-            let offset = lo - first;
-            let aligned = offset - offset % BLOCK;
-            let mut scratch = vec![V::default(); hi - first - aligned];
-            seg.try_decode_range(aligned, &mut scratch)?;
-            out[lo - row_start..hi - row_start].copy_from_slice(&scratch[offset - aligned..]);
-            covered += hi - lo;
+    let mut out = Vector::empty(stored_type(vtype)?);
+    append_segments(&mut out, row_start, row_len, segments)?;
+    Ok(out)
+}
+
+/// The column a stored-form scan frame extends: a frame at row 0 opens
+/// the next requested column; any other frame must continue the open
+/// column exactly where it ends, with the same value type.
+fn frame_column(
+    out: &mut Vec<Vector>,
+    want: usize,
+    vtype: u8,
+    row_start: u64,
+    row_len: u32,
+) -> Result<&mut Vector, ClientError> {
+    let ty = stored_type(vtype)?;
+    if row_start == 0 {
+        if out.len() == want {
+            return Err(malformed("stored-form scan sent more columns than requested"));
         }
-        if covered != row_len {
-            return Err(ClientError::Decode(Error::Truncated {
-                offset: covered,
-                need: row_len,
-                have: covered,
-            }));
-        }
-        Ok(out)
+        out.push(Vector::empty(ty));
     }
+    match out.last_mut() {
+        Some(col) if col.len() as u64 == row_start && col.col_type() == ty && row_len > 0 => {
+            Ok(col)
+        }
+        _ => Err(malformed("stored-form scan frames overlap or leave a gap")),
+    }
+}
+
+/// Appends a Values frame's rows to a column of the same type.
+fn append_values(col: &mut Vector, values: &Vector) -> Result<(), ClientError> {
+    fn extend<V: Copy>(out: &mut Vec<V>, values: &[V]) {
+        out.reserve_exact(values.len());
+        out.extend_from_slice(values);
+    }
+    match (col, values) {
+        (Vector::I32(out), Vector::I32(v)) => extend(out, v),
+        (Vector::I64(out), Vector::I64(v)) => extend(out, v),
+        (Vector::U32(out), Vector::U32(v)) => extend(out, v),
+        _ => return Err(malformed("a Values frame's type differs from its column")),
+    }
+    Ok(())
+}
+
+/// Decodes rows `[row_start, row_start + row_len)` from `segments` onto
+/// the end of `col`.
+fn append_segments(
+    col: &mut Vector,
+    row_start: u64,
+    row_len: u32,
+    segments: &[RawSegment],
+) -> Result<(), ClientError> {
     let (start, len) = (row_start as usize, row_len as usize);
-    match ColType::from_tag(vtype) {
-        Some(ColType::I32) => Ok(Vector::I32(fill::<i32>(start, len, segments)?)),
-        Some(ColType::I64) => Ok(Vector::I64(fill::<i64>(start, len, segments)?)),
-        Some(ColType::U32) => Ok(Vector::U32(fill::<u32>(start, len, segments)?)),
+    match col {
+        Vector::I32(out) => decode_append(out, start, len, segments),
+        Vector::I64(out) => decode_append(out, start, len, segments),
+        Vector::U32(out) => decode_append(out, start, len, segments),
         _ => Err(ClientError::Unexpected("undecodable raw segment value type")),
     }
+}
+
+/// Grows `out` exactly once by `len` rows and decodes rows
+/// `[start, start + len)` into them, segment by segment. The segments
+/// must tile the range in row order; that is checked, every segment's
+/// section checksums included, before anything is allocated for the
+/// rows the frame claims. A segment whose share starts on a 128-value
+/// block boundary — every segment of a scan frame — decodes straight
+/// into its slice of `out`; a share starting mid-block (a segment-range
+/// request's first segment) decodes that one block through a stack
+/// buffer and the aligned rest straight into `out`.
+fn decode_append<V: Value>(
+    out: &mut Vec<V>,
+    start: usize,
+    len: usize,
+    segments: &[RawSegment],
+) -> Result<(), ClientError> {
+    let end = start.checked_add(len).ok_or(malformed("raw segment range overflows"))?;
+    // (segment, offset of its share, rows [lo, hi) of the share)
+    let mut shares = Vec::with_capacity(segments.len());
+    let mut row = start;
+    for raw in segments {
+        let seg = Segment::<V>::from_bytes(&raw.bytes).map_err(Error::Wire)?;
+        let first = raw.first_row as usize;
+        let offset = row
+            .checked_sub(first)
+            .filter(|&o| o < seg.len() && row < end)
+            .ok_or(malformed("raw segments do not tile the requested rows"))?;
+        let hi = end.min(first.saturating_add(seg.len()));
+        shares.push((seg, offset, row - start, hi - start));
+        row = hi;
+    }
+    if row != end {
+        return Err(malformed("raw segments do not cover the requested rows"));
+    }
+    let at = out.len();
+    out.reserve_exact(len);
+    out.resize(at + len, V::default());
+    let dst = &mut out[at..];
+    for (seg, offset, mut lo, hi) in shares {
+        let (head, mut from) = (offset % BLOCK, offset);
+        if head != 0 {
+            let mut block = [V::default(); BLOCK];
+            let block_start = offset - head;
+            let block_len = (seg.len() - block_start).min(BLOCK);
+            seg.try_decode_range(block_start, &mut block[..block_len])?;
+            let take = (block_len - head).min(hi - lo);
+            dst[lo..lo + take].copy_from_slice(&block[head..head + take]);
+            (lo, from) = (lo + take, block_start + BLOCK);
+        }
+        if lo < hi {
+            seg.try_decode_range(from, &mut dst[lo..hi])?;
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -960,13 +1104,13 @@ struct ThreadTally {
 }
 
 /// Drives the server at `cfg.addr` with a closed-loop mix of
-/// segment-range (decoded and raw), scan (serial and parallel,
-/// filtered and not) and stats requests, verifying every payload
-/// against `replica` — which must be built identically to the table
-/// the server is serving (same name, same rows). With `cfg.chaos`,
-/// every connection misbehaves on the plan's deterministic schedule
-/// and requests ride the retry policy — correctness (byte-exact
-/// verification) must be unaffected.
+/// segment-range (decoded and raw), scan (unfiltered in stored form,
+/// filtered on serial and parallel server scans) and stats requests,
+/// verifying every payload against `replica` — which must be built
+/// identically to the table the server is serving (same name, same
+/// rows). With `cfg.chaos`, every connection misbehaves on the plan's
+/// deterministic schedule and requests ride the retry policy —
+/// correctness (byte-exact verification) must be unaffected.
 pub fn run_loadgen(cfg: &LoadgenConfig, replica: &Arc<Table>) -> Result<LoadgenReport, String> {
     assert!(cfg.threads >= 1, "loadgen needs at least one thread");
     scc_obs::set_enabled(true);

@@ -15,7 +15,10 @@
 //! * **Scan** — a full-column scan, optionally filtered (in code
 //!   space, where the segments allow) and run on multiple server
 //!   threads ([`scc_storage::Scan::into_plan`]), streamed back one
-//!   engine vector per frame.
+//!   engine vector per frame. An *unfiltered* [`Client::scan`] sends
+//!   **ScanSegments** instead: the server streams each column's stored
+//!   segment bytes and the client decodes them into one exactly-sized
+//!   vector per column.
 //! * **Stats** — the `scc-obs` registry as schema-v1 JSON.
 //!
 //! Every frame in both directions is CRC32C-checksummed
@@ -62,8 +65,8 @@ pub use client::{
 };
 pub use protocol::{
     ErrorCode, HealthState, HealthWindow, PredOp, Predicate, RawSegment, Request, Response,
-    CAP_PARTITIONS, CAP_PREDICATE_PUSHDOWN, CAP_RAW_SEGMENTS, CAP_TRACE_CTX, PROTOCOL_VERSION,
-    SERVER_CAPS,
+    CAP_PARTITIONS, CAP_PREDICATE_PUSHDOWN, CAP_RAW_SEGMENTS, CAP_SCAN_SEGMENTS, CAP_TRACE_CTX,
+    PROTOCOL_VERSION, SERVER_CAPS,
 };
 pub use server::{Server, ServerConfig};
 pub use top::{run_top, TopConfig, TopSample};

@@ -19,9 +19,12 @@
 //! with [`ErrorCode::BadRequest`] rather than by closing the
 //! connection.
 //!
-//! Scan responses are *streamed*: one [`Response::Batch`] frame per
-//! engine vector, terminated by [`Response::ScanDone`] (or an error
-//! frame, which also ends the stream). Everything else is strictly one
+//! Scan responses are *streamed* and terminated by
+//! [`Response::ScanDone`] (or an error frame, which also ends the
+//! stream). A [`Request::Scan`] streams one [`Response::Batch`] frame
+//! per engine vector; a [`Request::ScanSegments`] streams each column in
+//! turn as [`Response::RawSegments`] frames carrying the stored segment
+//! bytes, which the client decodes. Everything else is strictly one
 //! request frame → one response frame.
 
 use scc_core::{Error, WireError};
@@ -53,6 +56,9 @@ pub const REQ_HEALTH: u8 = 0x04;
 /// the refusal happens before any scan stream starts, never as a CRC
 /// failure mid-stream.
 pub const REQ_HELLO: u8 = 0x05;
+/// Request kind byte: an unfiltered scan answered with the columns'
+/// stored segment bytes.
+pub const REQ_SCAN_SEGMENTS: u8 = 0x06;
 /// Request kind byte: graceful (drain) or forced server shutdown.
 pub const REQ_SHUTDOWN: u8 = 0x7F;
 
@@ -90,10 +96,12 @@ pub const CAP_TRACE_CTX: u32 = 1 << 2;
 /// Capability bit: hosts partition tables (`table#pN`) for cluster
 /// serving.
 pub const CAP_PARTITIONS: u32 = 1 << 3;
+/// Capability bit: answers [`REQ_SCAN_SEGMENTS`] with stored segments.
+pub const CAP_SCAN_SEGMENTS: u32 = 1 << 4;
 
 /// Everything this build's server implements.
 pub const SERVER_CAPS: u32 =
-    CAP_RAW_SEGMENTS | CAP_PREDICATE_PUSHDOWN | CAP_TRACE_CTX | CAP_PARTITIONS;
+    CAP_RAW_SEGMENTS | CAP_PREDICATE_PUSHDOWN | CAP_TRACE_CTX | CAP_PARTITIONS | CAP_SCAN_SEGMENTS;
 
 /// Comparison operator of a scan predicate. This is the engine-wide
 /// [`scc_core::PredOp`]; its `tag`/`from_tag` pair defines the wire
@@ -147,6 +155,20 @@ pub enum Request {
         /// Decode threads (clamped by server config; 0 and 1 both
         /// mean serial).
         threads: u8,
+    },
+    /// An unfiltered scan over `columns` that the server does not
+    /// decode. Each column in turn streams as [`Response::RawSegments`]
+    /// frames whose ranges tile `[0, rows)`, each frame covering up to a
+    /// fixed number of whole segments; a frame whose rows have no stored
+    /// form (plain or LZRW1 segments) carries no segments and is
+    /// followed by one [`Response::Values`] frame holding exactly those
+    /// rows. [`Response::ScanDone`] ends the stream with the table's
+    /// row count and the number of `RawSegments` frames.
+    ScanSegments {
+        /// Table name.
+        table: String,
+        /// Columns to return, in order.
+        columns: Vec<String>,
     },
     /// Metrics snapshot (schema-v1 JSON).
     Stats,
@@ -433,6 +455,12 @@ impl<'a> Cur<'a> {
             .map_err(|_| Error::Wire(WireError::Corrupt("invalid utf-8 in protocol string")))
     }
 
+    /// A scan's column list: `[u8 n][n × str]`.
+    fn columns(&mut self) -> Result<Vec<String>, Error> {
+        let n = self.u8()? as usize;
+        (0..n).map(|_| self.str()).collect()
+    }
+
     /// Rejects payloads with bytes after the message — a framing layer
     /// must not smuggle extra data past the decoder.
     fn done(&self) -> Result<(), Error> {
@@ -461,6 +489,14 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+fn put_columns(out: &mut Vec<u8>, columns: &[String]) {
+    assert!(columns.len() <= u8::MAX as usize, "too many scan columns");
+    out.push(columns.len() as u8);
+    for c in columns {
+        put_str(out, c);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------
@@ -480,11 +516,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Scan { table, columns, predicate, threads } => {
             out.push(REQ_SCAN);
             put_str(&mut out, table);
-            assert!(columns.len() <= u8::MAX as usize, "too many scan columns");
-            out.push(columns.len() as u8);
-            for c in columns {
-                put_str(&mut out, c);
-            }
+            put_columns(&mut out, columns);
             match predicate {
                 None => out.push(0),
                 Some(p) => {
@@ -495,6 +527,11 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 }
             }
             out.push(*threads);
+        }
+        Request::ScanSegments { table, columns } => {
+            out.push(REQ_SCAN_SEGMENTS);
+            put_str(&mut out, table);
+            put_columns(&mut out, columns);
         }
         Request::Stats => out.push(REQ_STATS),
         Request::Health => out.push(REQ_HEALTH),
@@ -560,11 +597,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, Error> {
         }
         REQ_SCAN => {
             let table = c.str()?;
-            let n_cols = c.u8()? as usize;
-            let mut columns = Vec::with_capacity(n_cols);
-            for _ in 0..n_cols {
-                columns.push(c.str()?);
-            }
+            let columns = c.columns()?;
             let predicate = match c.u8()? {
                 0 => None,
                 1 => {
@@ -579,6 +612,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, Error> {
             let threads = c.u8()?;
             Request::Scan { table, columns, predicate, threads }
         }
+        REQ_SCAN_SEGMENTS => Request::ScanSegments { table: c.str()?, columns: c.columns()? },
         REQ_STATS => Request::Stats,
         REQ_HEALTH => Request::Health,
         REQ_HELLO => Request::Hello { version: c.u8()? },
@@ -777,6 +811,11 @@ mod tests {
             predicate: None,
             threads: 0,
         });
+        roundtrip_request(Request::ScanSegments {
+            table: "demo".into(),
+            columns: vec!["key".into(), "val".into(), "flag".into()],
+        });
+        roundtrip_request(Request::ScanSegments { table: "t".into(), columns: vec![] });
         roundtrip_request(Request::Stats);
         roundtrip_request(Request::Health);
         roundtrip_request(Request::Hello { version: PROTOCOL_VERSION });
@@ -970,6 +1009,31 @@ mod tests {
         assert_eq!(scan[op_at], PredOp::Eq as u8);
         scan[op_at] = 99;
         assert!(decode_request(&scan).is_err());
+    }
+
+    #[test]
+    fn scan_segments_shares_the_scan_column_list_and_is_strict() {
+        let columns = vec!["key".to_string(), "val".to_string()];
+        let stored = encode_request(&Request::ScanSegments {
+            table: "demo".into(),
+            columns: columns.clone(),
+        });
+        let streamed = encode_request(&Request::Scan {
+            table: "demo".into(),
+            columns,
+            predicate: None,
+            threads: 0,
+        });
+        assert_eq!(stored[0], REQ_SCAN_SEGMENTS);
+        // The same table and column list; `Scan` then adds its predicate
+        // flag and thread count.
+        assert_eq!(&stored[1..], &streamed[1..streamed.len() - 2]);
+        let mut trailing = stored.clone();
+        trailing.push(0);
+        assert!(decode_request(&trailing).is_err());
+        for cut in 0..stored.len() {
+            assert!(decode_request(&stored[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -143,6 +143,18 @@ const WIN_REQUEST: &str = "server.win.request_ns";
 const WIN_QUEUE_WAIT: &str = "server.win.queue_wait_ns";
 const WIN_SHED: &str = "server.win.shed";
 
+/// Books one served data-path request: its service time under its
+/// kind's histogram and window and the shared request window, and its
+/// queue wait.
+fn book_data_request(service: &str, window: &str, started: Instant, queue_wait_ns: u64) {
+    let ns = started.elapsed().as_nanos() as u64;
+    m_histogram(service, ns);
+    m_histogram("server.queue_wait_ns", queue_wait_ns);
+    m_window(WIN_REQUEST, ns);
+    m_window(window, ns);
+    m_window(WIN_QUEUE_WAIT, queue_wait_ns);
+}
+
 /// Maps a storage/decode error onto a wire error code. Range errors
 /// are the client's fault; integrity errors mean the *server's* data
 /// is bad; everything else is internal.
@@ -323,8 +335,8 @@ impl Shared {
             return error_response(&Error::RangeOutOfBounds { start, len, n: t.n_rows() });
         }
         if raw && len > 0 {
-            if let Some(resp) = raw_segments(t, ci, start, len) {
-                return resp;
+            if let (vtype, Some(segments)) = stored_segments(t, ci, start, len) {
+                return Response::RawSegments { vtype: vtype.tag(), row_start, row_len, segments };
             }
             // Some touched segment is stored plain or as an LZRW1 page
             // — no checksummed wire form exists, so serve values.
@@ -332,6 +344,19 @@ impl Shared {
         match t.try_read_rows(ci, start, len) {
             Ok(v) => Response::Values(v),
             Err(e) => error_response(&e),
+        }
+    }
+
+    /// Why a scan stream must end early, if it must: a forced shutdown
+    /// aborts mid-stream (a graceful drain lets the scan finish — it
+    /// was accepted work), and so does the request's deadline.
+    fn interrupted(&self, started: Instant) -> Option<Response> {
+        if self.stopped() {
+            Some(err(ErrorCode::Draining, "server stopped mid-scan"))
+        } else if self.expired(started) {
+            Some(err(ErrorCode::Timeout, "scan exceeded its deadline"))
+        } else {
+            None
         }
     }
 
@@ -354,14 +379,8 @@ impl Shared {
         };
         let (mut rows, mut batches) = (0u64, 0u32);
         loop {
-            if self.stopped() {
-                // Forced shutdown aborts mid-stream; a graceful drain
-                // lets the scan finish (it was accepted work).
-                self.send(stream, &err(ErrorCode::Draining, "server stopped mid-scan"));
-                return;
-            }
-            if self.expired(started) {
-                self.send(stream, &err(ErrorCode::Timeout, "scan exceeded its deadline"));
+            if let Some(stop) = self.interrupted(started) {
+                self.send(stream, &stop);
                 return;
             }
             match op.try_next() {
@@ -390,14 +409,68 @@ impl Shared {
         }
     }
 
-    fn build_scan(
+    /// Streams an unfiltered scan in stored form, column by column (see
+    /// [`Request::ScanSegments`]): nothing is decoded here unless a
+    /// range has no stored wire form.
+    fn handle_scan_segments(
+        &self,
+        stream: &mut TcpStream,
+        table: &str,
+        columns: &[String],
+        started: Instant,
+    ) {
+        let (t, column_indices) = match self.resolve_scan(table, columns, started) {
+            Ok(found) => found,
+            Err(e) => {
+                self.send(stream, &e);
+                return;
+            }
+        };
+        let n_rows = t.n_rows();
+        let frame_rows = t.seg_rows() * SCAN_FRAME_SEGMENTS;
+        let mut frames = 0u32;
+        for ci in column_indices {
+            for start in (0..n_rows).step_by(frame_rows) {
+                if let Some(stop) = self.interrupted(started) {
+                    self.send(stream, &stop);
+                    return;
+                }
+                let len = frame_rows.min(n_rows - start);
+                let (vtype, segments) = stored_segments(t, ci, start, len);
+                let values = match segments {
+                    Some(_) => None,
+                    None => match t.try_read_rows(ci, start, len) {
+                        Ok(v) => Some(Response::Values(v)),
+                        Err(e) => {
+                            self.send(stream, &error_response(&e));
+                            return;
+                        }
+                    },
+                };
+                let frame = Response::RawSegments {
+                    vtype: vtype.tag(),
+                    row_start: start as u64,
+                    row_len: len as u32,
+                    segments: segments.unwrap_or_default(),
+                };
+                frames += 1;
+                if !self.send(stream, &frame) || values.is_some_and(|v| !self.send(stream, &v)) {
+                    return; // client hung up mid-stream
+                }
+            }
+        }
+        self.send(stream, &Response::ScanDone { rows: n_rows as u64, batches: frames });
+    }
+
+    /// Validates a scan request: the table, a non-empty column list, and
+    /// every column known and not a blob. Returns the table and the
+    /// columns' indices, or the typed error to answer with.
+    fn resolve_scan(
         &self,
         table: &str,
         columns: &[String],
-        predicate: Option<&Predicate>,
-        threads: u8,
         started: Instant,
-    ) -> Result<Box<dyn Operator>, Response> {
+    ) -> Result<(&Arc<Table>, Vec<usize>), Response> {
         if self.expired(started) {
             return Err(err(ErrorCode::Timeout, "deadline exceeded before service"));
         }
@@ -407,17 +480,28 @@ impl Shared {
         if columns.is_empty() {
             return Err(err(ErrorCode::BadRequest, "scan needs at least one column"));
         }
-        for c in columns {
-            match t.find_col(c) {
-                None => {
-                    return Err(err(ErrorCode::UnknownColumn, format!("no column {c} in {table}")))
-                }
+        let indices = columns
+            .iter()
+            .map(|c| match t.find_col(c) {
+                None => Err(err(ErrorCode::UnknownColumn, format!("no column {c} in {table}"))),
                 Some(ci) if matches!(t.columns()[ci].1, Column::Blob(_)) => {
-                    return Err(err(ErrorCode::UnknownColumn, format!("column {c} is a blob")))
+                    Err(err(ErrorCode::UnknownColumn, format!("column {c} is a blob")))
                 }
-                Some(_) => {}
-            }
-        }
+                Some(ci) => Ok(ci),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok((t, indices))
+    }
+
+    fn build_scan(
+        &self,
+        table: &str,
+        columns: &[String],
+        predicate: Option<&Predicate>,
+        threads: u8,
+        started: Instant,
+    ) -> Result<Box<dyn Operator>, Response> {
+        let (t, _) = self.resolve_scan(table, columns, started)?;
         let expr = match predicate {
             None => None,
             Some(p) => Some(build_predicate(t, columns, p)?),
@@ -434,31 +518,35 @@ impl Shared {
     }
 }
 
-/// Raw compressed wire bytes of the column's segments covering
-/// `[start, start + len)`, or `None` when any touched segment has no
-/// checksummed representation.
-fn raw_segments(t: &Table, ci: usize, start: usize, len: usize) -> Option<Response> {
+/// Most segments one stored-form scan frame covers. Bounds a frame
+/// (sixteen 64 Ki-row segments of 8-byte values stay far below the
+/// client's 64 MiB frame limit) while a column of up to sixteen
+/// segments travels as one frame into one allocation.
+const SCAN_FRAME_SEGMENTS: usize = 16;
+
+/// The value type of column `ci` and the stored wire bytes of its
+/// segments covering `[start, start + len)` (`len > 0`) — `None` for the
+/// bytes when any touched segment has no checksummed representation.
+fn stored_segments(
+    t: &Table,
+    ci: usize,
+    start: usize,
+    len: usize,
+) -> (ColType, Option<Vec<RawSegment>>) {
     let (col_name, column) = &t.columns()[ci];
     let (store_wire, vtype): (&dyn Fn(usize) -> Option<Vec<u8>>, ColType) = match column {
         Column::Num(NumColumn::I32(c)) => (&|s| c.segment_wire_bytes(s), ColType::I32),
         Column::Num(NumColumn::I64(c)) => (&|s| c.segment_wire_bytes(s), ColType::I64),
         Column::Num(NumColumn::U32(c)) => (&|s| c.segment_wire_bytes(s), ColType::U32),
         Column::Str(s) => (&|i| s.codes.segment_wire_bytes(i), ColType::U32),
-        Column::Blob(_) => unreachable!("blob {col_name} rejected before raw_segments"),
+        Column::Blob(_) => unreachable!("blob {col_name} rejected before stored_segments"),
     };
     let seg_rows = t.seg_rows();
     let (seg_lo, seg_hi) = (start / seg_rows, (start + len - 1) / seg_rows);
-    let mut segments = Vec::with_capacity(seg_hi - seg_lo + 1);
-    for seg in seg_lo..=seg_hi {
-        let bytes = store_wire(seg)?;
-        segments.push(RawSegment { first_row: (seg * seg_rows) as u64, bytes });
-    }
-    Some(Response::RawSegments {
-        vtype: vtype.tag(),
-        row_start: start as u64,
-        row_len: len as u32,
-        segments,
-    })
+    let segments = (seg_lo..=seg_hi)
+        .map(|seg| Some(RawSegment { first_row: (seg * seg_rows) as u64, bytes: store_wire(seg)? }))
+        .collect();
+    (vtype, segments)
 }
 
 /// Builds the engine expression for a pushed-down predicate, typing
@@ -585,12 +673,12 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, queue_wait_ns: u64) {
                         .handle_segment_range(&table, &column, row_start, row_len, raw, started);
                     shared.send(&mut stream, &resp);
                 }
-                let ns = started.elapsed().as_nanos() as u64;
-                m_histogram("server.service_ns.segment_range", ns);
-                m_histogram("server.queue_wait_ns", req_queue_wait);
-                m_window(WIN_REQUEST, ns);
-                m_window("server.win.segment_range_ns", ns);
-                m_window(WIN_QUEUE_WAIT, req_queue_wait);
+                book_data_request(
+                    "server.service_ns.segment_range",
+                    "server.win.segment_range_ns",
+                    started,
+                    req_queue_wait,
+                );
             }
             Request::Scan { table, columns, predicate, threads } => {
                 m_counter("server.requests.scan", 1);
@@ -606,12 +694,28 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, queue_wait_ns: u64) {
                         started,
                     );
                 }
-                let ns = started.elapsed().as_nanos() as u64;
-                m_histogram("server.service_ns.scan", ns);
-                m_histogram("server.queue_wait_ns", req_queue_wait);
-                m_window(WIN_REQUEST, ns);
-                m_window("server.win.scan_ns", ns);
-                m_window(WIN_QUEUE_WAIT, req_queue_wait);
+                book_data_request(
+                    "server.service_ns.scan",
+                    "server.win.scan_ns",
+                    started,
+                    req_queue_wait,
+                );
+            }
+            // Booked as a scan: the stored-form answer to the same
+            // question, so the metric inventory stays one `scan` family.
+            Request::ScanSegments { table, columns } => {
+                m_counter("server.requests.scan", 1);
+                troot.set_tag("kind", "scan");
+                {
+                    let _ex = trace::span("server.execute");
+                    shared.handle_scan_segments(&mut stream, &table, &columns, started);
+                }
+                book_data_request(
+                    "server.service_ns.scan",
+                    "server.win.scan_ns",
+                    started,
+                    req_queue_wait,
+                );
             }
             Request::Stats => {
                 m_counter("server.requests.stats", 1);

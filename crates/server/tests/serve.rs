@@ -1,11 +1,17 @@
 //! End-to-end tests: a real server on an ephemeral localhost port,
 //! driven by real TCP clients.
 
+use scc_core::{frame, Error, WireError};
+use scc_engine::Batch;
 use scc_server::{
-    demo_table, run_loadgen, Catalog, Client, ClientError, ErrorCode, LoadgenConfig, PredOp,
-    Predicate, Request, Response, Server, ServerConfig,
+    demo_table, protocol, run_loadgen, Catalog, ChaosPlan, Client, ClientError, ErrorCode,
+    LoadgenConfig, PredOp, Predicate, RawSegment, Request, Response, RetryPolicy, RetryingClient,
+    Server, ServerConfig, Transport,
 };
-use scc_storage::{stats_handle, Compression, Scan, ScanOptions, TableBuilder};
+use scc_storage::{
+    stats_handle, Column, Compression, NumColumn, Scan, ScanOptions, Table, TableBuilder,
+};
+use std::io::{Cursor, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,7 +60,8 @@ fn concurrent_clients_get_byte_exact_results() {
                     let want = replica.try_read_rows(want_ci, start, len).unwrap();
                     assert_eq!(got, want, "thread {t} iter {i} raw={raw}");
                 }
-                // Parallel server-side decode must equal the serial oracle.
+                // The stored-form scan, decoded here, must equal the
+                // serial oracle.
                 let (batch, rows) = client.scan("demo", &["key", "val"], None, 4).expect("scan");
                 assert_eq!(rows as usize, ROWS);
                 assert_eq!(&batch, oracle.as_ref(), "thread {t} scan");
@@ -414,5 +421,304 @@ fn failover_with_every_node_dark_still_terminates_typed() {
             assert!(slept.windows(2).all(|w| w[0].backed_off <= w[1].backed_off));
         }
         other => panic!("expected retry exhaustion, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Stored-form scans: an unfiltered `scan` ships the columns' segments
+// and the client decodes them.
+// ---------------------------------------------------------------------
+
+/// Every stored column type, over more than sixteen 1024-row segments
+/// and ending in a partial one, so each column takes two frames.
+fn typed_table() -> Arc<Table> {
+    const ROWS: usize = 17 * 1024 + 300;
+    const MODES: [&str; 3] = ["AIR", "RAIL", "SHIP"];
+    TableBuilder::new("typed")
+        .seg_rows(1024)
+        .add_i32("i32", (0..ROWS).map(|i| (i % 1000) as i32 - 500).collect())
+        .add_i64("i64", (0..ROWS).map(|i| i as i64 * 3 - 7).collect())
+        .add_u32("u32", (0..ROWS).map(|i| (i * 7 % 4096) as u32).collect())
+        .add_str("str", (0..ROWS).map(|i| MODES[i % 3].to_string()).collect())
+        .add_blob("blob", 64)
+        .build()
+}
+
+/// Plain and LZRW1 segments beside patched ones: `mixed` is compressed
+/// for its first sixteen segments and noise (stored plain) after,
+/// `plain` is plain throughout, `lz` is LZRW1 pages and `packed` is
+/// compressed throughout — so `RawSegments` and `Values` frames mix,
+/// and columns open with either.
+fn mixed_table() -> Arc<Table> {
+    const ROWS: usize = 20 * 1024 + 77;
+    let mut x = 0x9E37_79B9u64;
+    let mut noise = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mixed = (0..ROWS).map(|i| if i < 16 * 1024 { i as i64 } else { noise() as i64 }).collect();
+    TableBuilder::new("mixed")
+        .seg_rows(1024)
+        .add_i64("mixed", mixed)
+        .compression(Compression::None)
+        .add_i32("plain", (0..ROWS).map(|i| (i % 77) as i32).collect())
+        .compression(Compression::Lzrw1Pages)
+        .add_u32("lz", (0..ROWS).map(|i| (i % 300) as u32).collect())
+        .compression(Compression::Auto)
+        .add_i64("packed", (0..ROWS).map(|i| (i % 5000) as i64).collect())
+        .build()
+}
+
+fn empty_table() -> Arc<Table> {
+    TableBuilder::new("empty").add_i64("k", vec![]).add_i32("v", vec![]).build()
+}
+
+/// Whether each segment of a numeric column has a stored wire form.
+fn stored_forms(table: &Table, column: &str) -> Vec<bool> {
+    let Column::Num(c) = table.col(column) else { panic!("{column} is not numeric") };
+    (0..c.n_segments()).map(|s| c.segment_wire_bytes(s).is_some()).collect()
+}
+
+fn in_process_scan(table: &Arc<Table>, columns: &[&str]) -> Batch {
+    let mut scan =
+        Scan::new(Arc::clone(table), columns, ScanOptions::default(), stats_handle(), None);
+    scc_engine::ops::collect(&mut scan)
+}
+
+fn start_server_with(tables: &[&Arc<Table>]) -> (Server, String) {
+    let mut catalog = Catalog::new();
+    for t in tables {
+        catalog.add(Arc::clone(t));
+    }
+    let server = Server::start(ServerConfig::default(), catalog).expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    (server, addr)
+}
+
+#[test]
+fn stored_form_scan_matches_the_in_process_scan_on_every_column_shape() {
+    let (typed, mixed) = (typed_table(), mixed_table());
+    // The fixture holds what it claims: both frame kinds in one column,
+    // and columns with no stored form at all.
+    let mixed_forms = stored_forms(&mixed, "mixed");
+    assert!(mixed_forms[..16].iter().all(|&s| s) && mixed_forms[16..].iter().all(|&s| !s));
+    assert!(stored_forms(&mixed, "plain").iter().all(|&s| !s));
+    assert!(stored_forms(&mixed, "lz").iter().all(|&s| !s));
+    assert!(stored_forms(&mixed, "packed").iter().all(|&s| s));
+
+    let (server, addr) = start_server_with(&[&typed, &mixed]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut retrying = RetryingClient::new(&addr, RetryPolicy::default(), None, 5);
+    let cases: [(&Arc<Table>, &[&str]); 5] = [
+        (&typed, &["i32", "i64", "u32", "str"]),
+        (&typed, &["str", "i32"]),
+        (&mixed, &["mixed", "plain", "lz", "packed"]),
+        (&mixed, &["plain", "packed", "mixed"]),
+        (&mixed, &["lz"]),
+    ];
+    for (table, columns) in cases {
+        let want = (in_process_scan(table, columns), table.n_rows() as u64);
+        let name = table.name.as_str();
+        assert_eq!(client.scan(name, columns, None, 1).expect("scan"), want, "{name} {columns:?}");
+        // `threads` means nothing to a stored-form scan.
+        assert_eq!(client.scan(name, columns, None, 4).expect("scan"), want, "{name} threads=4");
+        assert_eq!(retrying.scan(name, columns, None, 1).expect("scan"), want, "{name} retrying");
+    }
+    drop((client, retrying)); // a stopping server waits out idle connections
+    drop(server);
+}
+
+#[test]
+fn stored_form_scan_of_an_empty_table_matches_the_streamed_path() {
+    let empty = empty_table();
+    let (server, addr) = start_server_with(&[&empty]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let stored = client.scan("empty", &["k", "v"], None, 1).expect("stored-form scan");
+    // A predicate every row passes keeps the decoded `Batch` stream.
+    let all = Predicate { column: "k".into(), op: PredOp::Ge, literal: i64::MIN };
+    let streamed = client.scan("empty", &["k", "v"], Some(all), 1).expect("streamed scan");
+    assert_eq!(stored, streamed);
+    assert_eq!(stored, (in_process_scan(&empty, &["k", "v"]), 0));
+    drop(client);
+    drop(server);
+}
+
+#[test]
+fn stored_form_scan_errors_are_typed_and_the_connection_survives() {
+    let typed = typed_table();
+    let (server, addr) = start_server_with(&[&typed]);
+    let mut client = Client::connect(&addr).expect("connect");
+    for (table, columns, want) in [
+        ("nope", &["i32"][..], ErrorCode::UnknownTable),
+        ("typed", &["i32", "nope"][..], ErrorCode::UnknownColumn),
+        ("typed", &["blob"][..], ErrorCode::UnknownColumn),
+        ("typed", &[][..], ErrorCode::BadRequest),
+    ] {
+        match client.scan(table, columns, None, 1) {
+            Err(ClientError::Server { code, .. }) if code == want => {}
+            other => panic!("{table} {columns:?}: expected {want}, got {other:?}"),
+        }
+    }
+    let (batch, rows) = client.scan("typed", &["i64"], None, 1).expect("survivor");
+    assert_eq!((batch, rows), (in_process_scan(&typed, &["i64"]), typed.n_rows() as u64));
+    drop(client);
+    drop(server);
+}
+
+#[test]
+fn stored_form_scan_under_chaos_returns_byte_identical_batches() {
+    let typed = typed_table();
+    let columns = ["i32", "i64", "u32", "str"];
+    let want = (in_process_scan(&typed, &columns), typed.n_rows() as u64);
+    let (server, addr) = start_server_with(&[&typed]);
+    let mut plans = ChaosPlan::matrix(0x5CA9, 0.01);
+    plans.push(("composite", ChaosPlan::composite(0x5CA9)));
+    for (salt, (name, plan)) in plans.into_iter().enumerate() {
+        let mut client =
+            RetryingClient::new(&addr, RetryPolicy::default(), Some(plan), salt as u64);
+        for i in 0..4 {
+            let got = client.scan("typed", &columns, None, 1).expect(name);
+            assert!(got == want, "{name}: scan {i} differs");
+        }
+    }
+    drop(server);
+}
+
+/// A transport that answers with a fixed byte stream and swallows
+/// whatever the client writes.
+struct Scripted(Cursor<Vec<u8>>);
+
+impl Read for Scripted {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+impl Write for Scripted {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Transport for Scripted {
+    fn set_read_timeout(&self, _: Option<Duration>) -> std::io::Result<()> {
+        Ok(())
+    }
+
+    fn set_write_timeout(&self, _: Option<Duration>) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A one-column stored-form scan answered by `responses`, each sent as
+/// a well-checksummed frame.
+fn scripted_scan(responses: &[Response]) -> Result<(Batch, u64), ClientError> {
+    let bytes =
+        responses.iter().flat_map(|r| frame::encode(&protocol::encode_response(r))).collect();
+    let mut client = Client::from_transport(Box::new(Scripted(Cursor::new(bytes))));
+    client.scan("t", &["v"], None, 1)
+}
+
+/// The three stored 1024-row segments of an `i64` column holding
+/// `0..3072`.
+fn three_segments() -> Vec<RawSegment> {
+    let t = TableBuilder::new("t").seg_rows(1024).add_i64("v", (0..3072).collect()).build();
+    let Column::Num(NumColumn::I64(c)) = t.col("v") else { unreachable!() };
+    (0..3)
+        .map(|s| RawSegment {
+            first_row: (s * 1024) as u64,
+            bytes: c.segment_wire_bytes(s).expect("compressed"),
+        })
+        .collect()
+}
+
+fn raw_frame(row_start: u64, row_len: u32, segments: &[RawSegment]) -> Response {
+    let vtype = scc_engine::ColType::I64.tag();
+    Response::RawSegments { vtype, row_start, row_len, segments: segments.to_vec() }
+}
+
+#[test]
+fn stored_form_scan_decodes_a_well_formed_script() {
+    let segs = three_segments();
+    let (batch, rows) = scripted_scan(&[
+        raw_frame(0, 2048, &segs[..2]),
+        raw_frame(2048, 1024, &segs[2..]),
+        Response::ScanDone { rows: 3072, batches: 2 },
+    ])
+    .expect("well-formed stream");
+    assert_eq!(rows, 3072);
+    assert_eq!(batch.columns[0].as_i64(), &(0..3072).collect::<Vec<i64>>()[..]);
+}
+
+#[test]
+fn stored_form_flipped_segment_byte_is_a_section_checksum_error() {
+    let segs = three_segments();
+    let body = scc_core::wire::HEADER_BYTES_V2..segs[0].bytes.len();
+    assert!(!body.is_empty());
+    for at in body {
+        let mut bad = segs.clone();
+        bad[0].bytes[at] ^= 0x10;
+        let got = scripted_scan(&[
+            raw_frame(0, 3072, &bad),
+            Response::ScanDone { rows: 3072, batches: 1 },
+        ]);
+        match got {
+            Err(ClientError::Decode(Error::Wire(WireError::Checksum { .. }))) => {}
+            other => panic!("flip at byte {at}: expected a section checksum error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn stored_form_streams_that_are_cut_or_do_not_tile_are_errors() {
+    let segs = three_segments();
+    let done = |rows, batches| Response::ScanDone { rows, batches };
+    let cases: Vec<(&str, Vec<Response>)> = vec![
+        ("cut before the first frame", vec![]),
+        ("cut before ScanDone", vec![raw_frame(0, 2048, &segs[..2])]),
+        (
+            "gap between frames",
+            vec![raw_frame(0, 1024, &segs[..1]), raw_frame(2048, 1024, &segs[2..]), done(3072, 2)],
+        ),
+        (
+            "overlapping frames",
+            vec![raw_frame(0, 2048, &segs[..2]), raw_frame(1024, 2048, &segs[1..]), done(3072, 2)],
+        ),
+        (
+            "overlap whose length hides the gap after it",
+            vec![raw_frame(0, 2048, &segs[..2]), raw_frame(1024, 1024, &segs[1..2]), done(3072, 2)],
+        ),
+        (
+            "gap between segments",
+            vec![raw_frame(0, 2048, &[segs[0].clone(), segs[2].clone()]), done(2048, 1)],
+        ),
+        (
+            "a segment holding none of the next rows",
+            vec![
+                raw_frame(0, 2048, &[segs[0].clone(), segs[0].clone(), segs[1].clone()]),
+                done(2048, 1),
+            ],
+        ),
+        ("segments short of the frame", vec![raw_frame(0, 3072, &segs[..2]), done(3072, 1)]),
+        ("ScanDone past the column's end", vec![raw_frame(0, 2048, &segs[..2]), done(3072, 1)]),
+        ("ScanDone miscounts frames", vec![raw_frame(0, 3072, &segs), done(3072, 2)]),
+        (
+            "a second column nobody asked for",
+            vec![raw_frame(0, 3072, &segs), raw_frame(0, 3072, &segs), done(3072, 2)],
+        ),
+        ("announced values never sent", vec![raw_frame(0, 3072, &[]), done(3072, 1)]),
+        ("empty frame", vec![raw_frame(0, 0, &[]), done(0, 1)]),
+    ];
+    for (what, responses) in cases {
+        match scripted_scan(&responses) {
+            Err(ClientError::Frame(_) | ClientError::Decode(_)) => {}
+            other => panic!("{what}: expected a typed stream error, got {other:?}"),
+        }
     }
 }

@@ -10,8 +10,8 @@
 use scc_core::frame::FrameError;
 use scc_obs::trace::{self, Span, TraceConfig};
 use scc_server::{
-    demo_table, Catalog, ClientError, HealthState, RetryPolicy, RetryingClient, Server,
-    ServerConfig,
+    demo_table, Catalog, ClientError, HealthState, PredOp, Predicate, RetryPolicy, RetryingClient,
+    Server, ServerConfig,
 };
 use std::io::ErrorKind;
 use std::sync::{Mutex, MutexGuard};
@@ -76,14 +76,14 @@ impl Tree {
     }
 }
 
-#[test]
-fn one_scan_request_yields_one_connected_trace_with_segment_spans() {
-    let _g = lock();
-    let (mut server, addr) = start_server(20_000); // 3 segments of 8192
+/// Runs one scan through a `RetryingClient` against a fresh 20 000-row
+/// demo server (3 segments of 8192) and returns the request's trace,
+/// checked connected, plus the scan's row count.
+fn traced_scan(predicate: Option<&Predicate>) -> (Tree, u64) {
+    let (mut server, addr) = start_server(20_000);
     let mut client = RetryingClient::new(&addr, RetryPolicy::no_retry(), None, 1);
-    let (batch, rows) = client.scan("demo", &["key", "val"], None, 2).expect("scan");
-    assert_eq!(rows, 20_000);
-    assert_eq!(batch.len(), 20_000);
+    let (batch, rows) = client.scan("demo", &["key", "val"], predicate, 2).expect("scan");
+    assert_eq!(batch.len() as u64, rows);
     drop(client); // a stopping server waits out idle connections
     server.stop();
 
@@ -96,7 +96,15 @@ fn one_scan_request_yields_one_connected_trace_with_segment_spans() {
         .clone();
     let t = Tree::of(spans, root.trace_id);
     t.assert_connected();
+    (t, rows)
+}
 
+/// The request-level tree every scan shares: one client attempt, the
+/// server's remote-parented `kind=scan` root, its decode and execute
+/// phases, and every frame write under execute. Returns the execute
+/// span's id and the number of writes.
+fn assert_scan_request_tree(t: &Tree) -> (u64, usize) {
+    let root = t.one("client.request");
     // Client side: one attempt under the root.
     let attempt = t.one("client.attempt");
     assert_eq!(attempt.parent_id, root.span_id);
@@ -115,21 +123,45 @@ fn one_scan_request_yields_one_connected_trace_with_segment_spans() {
     let exec = t.one("server.execute");
     assert_eq!(exec.parent_id, sreq.span_id);
     let writes = t.named("server.write");
-    assert!(!writes.is_empty(), "streamed batches produce write spans");
+    assert!(!writes.is_empty(), "streamed frames produce write spans");
     assert!(writes.iter().all(|w| w.parent_id == exec.span_id));
     assert_eq!(t.named("server.serialize").len(), writes.len());
+    (exec.span_id, writes.len())
+}
+
+#[test]
+fn one_scan_request_yields_one_connected_trace_with_segment_spans() {
+    let _g = lock();
+    // A filtered scan still decodes on the server (every `val` is below
+    // 1000, so every row survives).
+    let keep_all = Predicate { column: "val".into(), op: PredOp::Lt, literal: 1000 };
+    let (t, rows) = traced_scan(Some(&keep_all));
+    assert_eq!(rows, 20_000);
+    let (exec, _) = assert_scan_request_tree(&t);
 
     // Per-segment scan spans: one per segment, each tagged with the
     // decode kernel and carrying the values-decoded attribute.
     let segs = t.named("scan.segment");
     assert_eq!(segs.len(), 3, "3 segments scanned");
     for s in &segs {
-        assert_eq!(s.parent_id, exec.span_id, "segment spans parent on execute");
+        assert_eq!(s.parent_id, exec, "segment spans parent on execute");
         let (k, v) = s.tag.expect("kernel tag");
         assert_eq!(k, "kernel");
         assert!(["scalar", "sse41", "avx2"].contains(&v), "{v}");
         assert!(s.attrs[..s.n_attrs as usize].iter().any(|&(k, v)| k == "values" && v > 0));
     }
+}
+
+#[test]
+fn stored_form_scan_traces_one_write_per_frame_and_no_server_decode() {
+    let _g = lock();
+    let (t, rows) = traced_scan(None);
+    assert_eq!(rows, 20_000);
+    let (_, writes) = assert_scan_request_tree(&t);
+    // Two columns of three segments: one stored-segment frame each, then
+    // `ScanDone`.
+    assert_eq!(writes, 3, "one write per frame");
+    assert!(t.named("scan.segment").is_empty(), "the server decodes nothing");
 }
 
 #[test]
