@@ -368,12 +368,14 @@ impl<V: Value> Segment<V> {
             if vertical {
                 // A vertical block's codes interleave across the whole
                 // 128-value block, so the compare kernel always runs over
-                // the full block into a stack buffer; a partial `take`
-                // copies the prefix. (The kernels handle a horizontal
-                // tail block themselves, driven by the buffer length.)
+                // the full block: straight into `out` when the block fits,
+                // else into a stack buffer whose prefix is copied. (The
+                // kernels handle a horizontal tail block themselves,
+                // driven by the buffer length.)
                 let codes = self.block_codes(blk, len)?;
                 let mut buf = [false; BLOCK];
-                let flags = &mut buf[..len];
+                let flags =
+                    if take == len { &mut out[written..written + len] } else { &mut buf[..len] };
                 match &cp.coded {
                     CodedTest::Const(v) => flags.fill(*v),
                     CodedTest::Range { lo, hi, negate } => {
@@ -391,7 +393,9 @@ impl<V: Value> Segment<V> {
                     |p| scc_bitpack::vert::get_one(codes, self.b, len, p),
                     |pos, k| flags[pos] = cp.pred.test(self.exceptions[exc_start + k]),
                 );
-                out[written..written + take].copy_from_slice(&buf[..take]);
+                if take < len {
+                    out[written..written + take].copy_from_slice(&buf[..take]);
+                }
             } else {
                 let sel = &mut out[written..written + take];
                 // Validates code availability for every position < take,

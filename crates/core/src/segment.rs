@@ -419,6 +419,8 @@ impl<V: Value> Segment<V> {
     /// Decompresses values `[start, start + out.len())` into `out`.
     /// `start` must be block-aligned (multiple of 128); the length may end
     /// mid-block. This is the vector-wise granularity used by the scan.
+    /// Every whole block decodes straight into its slice of `out`; only a
+    /// trailing partial take goes through a stack block.
     ///
     /// Returns [`Error::UnalignedRange`] for a misaligned start and
     /// [`Error::RangeOutOfBounds`] for a range past the end (in both
@@ -433,14 +435,18 @@ impl<V: Value> Segment<V> {
             return Err(Error::RangeOutOfBounds { start, len: out.len(), n: self.n });
         }
         let t0 = scc_obs::clock();
-        let mut buf = [V::default(); BLOCK];
         let mut written = 0;
         let mut blk = start / BLOCK;
         while written < out.len() {
-            let len = self.try_decode_block(blk, &mut buf)?;
-            let take = len.min(out.len() - written);
-            out[written..written + take].copy_from_slice(&buf[..take]);
-            written += take;
+            let rest = &mut out[written..];
+            if rest.len() >= self.block_len(blk) {
+                written += self.try_decode_block(blk, rest)?;
+            } else {
+                let mut buf = [V::default(); BLOCK];
+                self.try_decode_block(blk, &mut buf)?;
+                rest.copy_from_slice(&buf[..rest.len()]);
+                written = out.len();
+            }
             blk += 1;
         }
         if let Some(t) = t0 {
@@ -736,5 +742,35 @@ mod tests {
         // Earlier, untruncated blocks still decode.
         assert_eq!(seg.try_decode_block(0, &mut block).unwrap(), BLOCK);
         assert_eq!(block[..5], values[..5]);
+    }
+
+    /// A code section cut short in the middle of a range: both range
+    /// entry points report the first short block and leave the blocks
+    /// before it written and the rest of `out` untouched, in both layouts.
+    #[test]
+    fn codes_truncated_mid_range_keep_earlier_blocks() {
+        use crate::predicate::{PredOp, ValuePred};
+        let values: Vec<u32> = (0..1000u32).map(|i| (i * 7) % 200).collect();
+        let (start, bad) = (BLOCK, 5);
+        let done = bad * BLOCK - start;
+        for layout in [Layout::Horizontal, Layout::Vertical] {
+            let mut seg = crate::pfor::compress_in(&values, 0, 8, Default::default(), layout);
+            let pred = ValuePred::Cmp { op: PredOp::Lt, lit: 100 };
+            let cp = seg.compile_predicate(&pred).expect("PFOR compiles");
+            seg.codes.truncate(seg.block_word_offset(bad) + 1);
+
+            let mut out = vec![u32::MAX; values.len() - start];
+            let err = seg.try_decode_range(start, &mut out).unwrap_err();
+            assert!(matches!(err, Error::CorruptCodes { block: 5, .. }), "{layout:?}: {err:?}");
+            assert_eq!(out[..done], values[start..bad * BLOCK], "{layout:?}");
+            assert!(out[done..].iter().all(|&v| v == u32::MAX), "{layout:?}");
+
+            let mut sel = vec![false; values.len() - start];
+            let err = seg.try_select_range(&cp, start, &mut sel).unwrap_err();
+            assert!(matches!(err, Error::CorruptCodes { block: 5, .. }), "{layout:?}: {err:?}");
+            let want: Vec<bool> = values[start..bad * BLOCK].iter().map(|&v| v < 100).collect();
+            assert_eq!(sel[..done], want, "{layout:?}");
+            assert!(sel[done..].iter().all(|&s| !s), "{layout:?}");
+        }
     }
 }

@@ -2,21 +2,22 @@
 //!
 //! A [`SegmentHandle`] is the storage side of the engine's
 //! `CodeCol` contract: one handle per (column, segment) pair of a
-//! [`Table`], held by the batches a code-scanning [`crate::Scan`]
-//! emits. `Select` evaluates pushed-down predicates against the
-//! *codes* through [`SegmentHandle::try_select`]; decompression
-//! happens only when an operator actually needs values — either the
-//! whole window ([`SegmentHandle::materialize`]) or just the surviving
-//! rows ([`SegmentHandle::gather`], block-granular).
+//! [`Table`], held by the batches a [`crate::Scan`] emits for a
+//! `Select` above it (`into_plan` with a predicate). `Select`
+//! evaluates pushed-down predicates against the *codes* through
+//! [`SegmentHandle::try_select`]; decompression happens only when an
+//! operator actually needs values — either the whole window
+//! ([`SegmentHandle::materialize`]) or just the surviving rows
+//! ([`SegmentHandle::gather`], block-granular).
 //!
-//! Decompression cost is charged to the scan's [`StatsHandle`] at the
-//! moment it happens and on whichever thread it happens, so
-//! `decompress_ns`/`output_bytes` keep meaning "values actually
-//! decoded" whether the scan materializes at once (a handle is also how
-//! [`crate::Scan`] decodes eagerly), a `Select` decodes survivors, or a
-//! parallel worker does either. Chunk I/O is *not* charged here — the
-//! scan charged it when it entered the segment, and skipping decode
-//! never skips the read of the compressed bytes.
+//! `decode_window` is the one decode routine: the scan calls it
+//! directly when nothing reads codes and books each batch once, and
+//! `materialize` calls it and books each call. Either way decompression
+//! is charged to the scan's [`StatsHandle`] on whichever thread it
+//! happens, so `decompress_ns`/`output_bytes` keep meaning "values
+//! actually decoded". Chunk I/O is *not* charged here — the scan
+//! charged it when it entered the segment, and skipping decode never
+//! skips the read of the compressed bytes.
 
 use crate::column::{Column, ColumnStore, NumColumn, StoredSegment};
 use crate::disk::StatsHandle;
@@ -118,17 +119,33 @@ fn select_typed<V: Value>(
     Ok(true)
 }
 
-fn materialize_typed<V: Value>(
-    handle: &SegmentHandle,
-    store: &ColumnStore<V>,
+/// Decodes rows `[offset, offset + len)` of `col`'s segment `seg` into
+/// one fresh vector. Returns it with the bytes it holds; the caller
+/// books both.
+pub(crate) fn decode_window(
+    col: &Column,
+    seg: usize,
     offset: usize,
     len: usize,
-) -> Result<Vec<V>, Error> {
-    let mut out = vec![V::default(); len];
-    let t0 = Instant::now();
-    store.try_decode_segment_range(handle.seg, offset, &mut out)?;
-    handle.charge_decode(t0, len as u64, (len * V::byte_width()) as u64);
-    Ok(out)
+) -> Result<(Vector, u64), Error> {
+    fn typed<V: Value>(
+        store: &ColumnStore<V>,
+        seg: usize,
+        offset: usize,
+        len: usize,
+        wrap: fn(Vec<V>) -> Vector,
+    ) -> Result<(Vector, u64), Error> {
+        let mut out = vec![V::default(); len];
+        store.try_decode_segment_range(seg, offset, &mut out)?;
+        Ok((wrap(out), (len * V::byte_width()) as u64))
+    }
+    match col {
+        Column::Num(NumColumn::I32(s)) => typed(s, seg, offset, len, Vector::I32),
+        Column::Num(NumColumn::I64(s)) => typed(s, seg, offset, len, Vector::I64),
+        Column::Num(NumColumn::U32(s)) => typed(s, seg, offset, len, Vector::U32),
+        Column::Str(sc) => typed(&sc.codes, seg, offset, len, Vector::U32),
+        Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
+    }
 }
 
 fn gather_typed<V: Value>(
@@ -181,13 +198,10 @@ impl CodeCol for SegmentHandle {
     }
 
     fn materialize(&self, offset: usize, len: usize) -> Result<Vector, Error> {
-        Ok(match self.column() {
-            Column::Num(NumColumn::I32(s)) => Vector::I32(materialize_typed(self, s, offset, len)?),
-            Column::Num(NumColumn::I64(s)) => Vector::I64(materialize_typed(self, s, offset, len)?),
-            Column::Num(NumColumn::U32(s)) => Vector::U32(materialize_typed(self, s, offset, len)?),
-            Column::Str(sc) => Vector::U32(materialize_typed(self, &sc.codes, offset, len)?),
-            Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
-        })
+        let t0 = Instant::now();
+        let (v, bytes) = decode_window(self.column(), self.seg, offset, len)?;
+        self.charge_decode(t0, len as u64, bytes);
+        Ok(v)
     }
 
     fn gather(&self, offset: usize, rows: &[usize]) -> Result<(Vector, u64), Error> {

@@ -3,9 +3,10 @@
 //! The scan yields 1024-tuple vectors. On entering a segment it charges
 //! the segment's bytes to the (simulated) disk unless the buffer pool
 //! already holds it; per vector it decodes each referenced column
-//! straight from the compressed segment into the output vector — the
-//! working set is one vector plus one 128-value scratch block, i.e.
-//! cache-resident (*vector-wise*, the paper's proposal).
+//! straight from the compressed segment into the output vector, whole
+//! 128-value blocks in place — the working set is one vector (plus one
+//! scratch block for a partial tail), i.e. cache-resident
+//! (*vector-wise*, the paper's proposal).
 //!
 //! The *page-wise* mode instead decompresses the whole segment into a RAM
 //! page on entry and serves vectors by copying out of it — the I/O-RAM
@@ -17,17 +18,20 @@
 //! mode charges the raw string bytes that a non-dictionary store would
 //! read, keeping the I/O accounting faithful to the paper's baseline.
 //!
-//! There is one scan type. Vector-wise compressed reads all go through
-//! a per-segment [`SegmentHandle`]: with `code_scan` the handle travels
-//! in the batch as a lazy column, without it the scan materializes the
-//! window at once — same decode routine, same booking site either way.
-//! [`Scan::into_plan`] finishes the plan: the caller's predicate becomes
-//! a `Select` directly above the scan, and with `threads > 1` that
-//! scan-plus-select fragment runs once per claimed segment on worker
-//! threads behind an `Exchange` (§6 outlook). Every handle a scan holds
-//! is shared and thread-safe (the ledger is lock-free atomics, pool and
-//! fault disk are `Arc<Mutex<_>>` touched once per segment), so workers
-//! charge the same [`StatsHandle`] the serial scan would.
+//! There is one scan type and one decode routine,
+//! `lazy::decode_window`. Codes are emitted only when a `Select` sits
+//! above the scan ([`Scan::into_plan`] with a predicate, `code_scan`
+//! on): a patched column then travels in the batch as a
+//! lazy [`SegmentHandle`] that `Select` tests in code space. Otherwise
+//! the scan decodes every column straight into its output vector and
+//! books the batch once: one clock pair, one decompress and one output
+//! charge. [`Scan::into_plan`] finishes the plan: the caller's predicate
+//! becomes a `Select` directly above the scan, and with `threads > 1`
+//! that scan-plus-select fragment runs once per claimed segment on
+//! worker threads behind an `Exchange` (§6 outlook). Every handle a scan
+//! holds is shared and thread-safe (the ledger is lock-free atomics,
+//! pool and fault disk are `Arc<Mutex<_>>` touched once per segment), so
+//! workers charge the same [`StatsHandle`] the serial scan would.
 
 use crate::column::{Column, NumColumn};
 use crate::disk::{Disk, DiskHandle, ReadOutcome, RetryPolicy, StatsHandle};
@@ -75,12 +79,13 @@ pub struct ScanOptions {
     pub disk: Disk,
     /// DSM or PAX I/O accounting.
     pub layout: Layout,
-    /// Emit patched-compressed columns as *lazy* code handles instead of
-    /// decoding eagerly: `Select` can then evaluate pushed-down
-    /// predicates over the codes and decompression happens only for
-    /// surviving rows (vector-wise compressed scans only; other modes,
-    /// plain/LZRW1 segments, and vector sizes that are not a multiple of
-    /// the 128-value block fall back to eager decode).
+    /// Emit patched-compressed columns as *lazy* code handles for a
+    /// `Select` above the scan ([`Scan::into_plan`] with a predicate):
+    /// `Select` then evaluates pushed-down predicates over the codes and
+    /// decompression happens only for surviving rows. `into_plan`
+    /// without a predicate, other modes, plain/LZRW1 segments, and
+    /// vector sizes that are not a multiple of the 128-value block
+    /// decode eagerly.
     pub code_scan: bool,
 }
 
@@ -116,9 +121,12 @@ pub struct Scan {
     end: usize,
     cur_segment: Option<usize>,
     pages: Vec<Option<PageBuf>>,
-    /// Per-slot handle for the current segment (vector-wise compressed
-    /// scans only); rebuilt when the scan enters the next segment.
+    /// Per-slot handle for the current segment (columns emitted as
+    /// codes only); rebuilt when the scan enters the next segment.
     handles: Vec<Option<Arc<SegmentHandle>>>,
+    /// Whether `code_scan` columns leave as codes; [`Scan::into_plan`]
+    /// clears it when no `Select` will read them.
+    emit_codes: bool,
     /// Reused LZRW1 page-decompression buffer for page-wise reads of
     /// `Lz` segments (patched segments never touch it).
     lz_scratch: Vec<u8>,
@@ -126,8 +134,8 @@ pub struct Scan {
     /// modeled disk with no per-chunk validation.
     faulty: Option<(DiskHandle, RetryPolicy)>,
     profile: OpProfile,
-    /// Open per-segment trace region: (segment, entered-at, values read
-    /// outside the segment handles so far). A segment's span can only
+    /// Open per-segment trace region: (segment, entered-at, values the
+    /// scan decoded or copied itself so far). A segment's span can only
     /// close when the scan *leaves* it — at the next segment's first
     /// vector, or at scan drop — so it is recorded after the fact rather
     /// than held as an RAII guard across `try_next` calls.
@@ -186,6 +194,7 @@ impl Scan {
             cur_segment: None,
             pages: (0..n_cols).map(|_| None).collect(),
             handles: (0..n_cols).map(|_| None).collect(),
+            emit_codes: true,
             lz_scratch: Vec::new(),
             faulty,
             profile: OpProfile::default(),
@@ -228,7 +237,7 @@ impl Scan {
     /// alone (clipped to this scan's own row range).
     fn fragment(&self, seg: usize) -> Scan {
         let seg_rows = self.table.seg_rows();
-        Self::over(
+        let mut scan = Self::over(
             Arc::clone(&self.table),
             self.cols.clone(),
             self.opts,
@@ -236,21 +245,25 @@ impl Scan {
             self.pool.clone(),
             self.faulty.clone(),
             seg * seg_rows..((seg + 1) * seg_rows).min(self.end),
-        )
+        );
+        scan.emit_codes = self.emit_codes;
+        scan
     }
 
     /// Finishes the plan over this (not yet pulled) scan; every caller
     /// that scans a table builds its plan here. `predicate`, when given,
     /// becomes a `Select` directly above the scan, so it is evaluated
-    /// over codes wherever the scan emits them. With `threads == 1` that
-    /// is the whole plan, on the calling thread. With more, the same
-    /// scan-plus-select runs once per segment on `threads` workers (at
-    /// most one per segment) that claim segments from a shared counter,
-    /// decode what survives, and feed an [`Exchange`], which yields the
-    /// exact serial stream — same batches, same order, same first error
-    /// — and reports the workers' summed operator profiles beneath it.
-    pub fn into_plan(self, predicate: Option<Expr>, threads: usize) -> Box<dyn Operator> {
+    /// over codes wherever the scan emits them; without one nothing
+    /// reads codes, so the scan decodes eagerly. With `threads == 1`
+    /// that is the whole plan, on the calling thread. With more, the
+    /// same scan-plus-select runs once per segment on `threads` workers
+    /// (at most one per segment) that claim segments from a shared
+    /// counter and feed an [`Exchange`], which yields the exact serial
+    /// stream — same batches, same order, same first error — and reports
+    /// the workers' summed operator profiles beneath it.
+    pub fn into_plan(mut self, predicate: Option<Expr>, threads: usize) -> Box<dyn Operator> {
         assert!(threads >= 1, "a scan needs at least one thread");
+        self.emit_codes = predicate.is_some();
         let plan_over = move |scan: Scan| -> Box<dyn Operator> {
             match &predicate {
                 Some(p) => Box::new(Select::new(scan, p.clone())),
@@ -287,15 +300,12 @@ impl Scan {
                                 break;
                             }
                             let mut plan = plan_over(template.fragment(first_seg + part));
-                            let mut decoded = 0;
-                            let result = drain(plan.as_mut(), &mut decoded);
-                            // The worker is the operator that consumed
-                            // the fragment's output, so what it decoded
-                            // is booked at the fragment's root.
-                            let mut fragment = plan.explain();
-                            fragment.profile.values_decoded += decoded;
-                            let partition =
-                                Partition { seq: part as u64, result, fragment: Some(fragment) };
+                            // Neither a `Select` nor an eager scan emits
+                            // codes, so the batches arrive decoded.
+                            let result = std::iter::from_fn(|| plan.try_next().transpose())
+                                .collect::<Result<Vec<Batch>, Error>>();
+                            let fragment = Some(plan.explain());
+                            let partition = Partition { seq: part as u64, result, fragment };
                             if tx.send(partition).is_err() {
                                 // The exchange dropped the receiver
                                 // (consumer went away); stop producing.
@@ -480,18 +490,6 @@ impl Scan {
     }
 }
 
-/// Drains one worker's plan fragment into its partition payload,
-/// decoding whatever is still compressed: decompression on the workers
-/// is the point of running them. `decoded` counts those values.
-fn drain(plan: &mut dyn Operator, decoded: &mut u64) -> Result<Vec<Batch>, Error> {
-    let mut batches = Vec::new();
-    while let Some(mut batch) = plan.try_next()? {
-        *decoded += batch.ensure_values()?;
-        batches.push(batch);
-    }
-    Ok(batches)
-}
-
 /// Borrowed view of a numeric column (avoids cloning stores per vector).
 enum NumColRef<'a> {
     I32(&'a crate::column::ColumnStore<i32>),
@@ -534,44 +532,57 @@ impl Scan {
         let offset = self.pos % seg_rows;
         let seg_end = ((seg + 1) * seg_rows).min(self.end);
         let take = self.opts.vector_size.min(seg_end - self.pos);
-        let via_handle = self.opts.mode == ScanMode::Compressed
+        let vector_wise = self.opts.mode == ScanMode::Compressed
             && self.opts.granularity == DecompressionGranularity::VectorWise;
-        // Whether this scan can emit codes: segment offsets stay
-        // 128-block aligned only when the vector size is a multiple of
-        // the block.
+        // Whether a `Select` could test this scan's patched columns in
+        // code space: segment offsets stay 128-block aligned only when
+        // the vector size is a multiple of the block.
         let code_scan =
             self.opts.code_scan && self.opts.vector_size.is_multiple_of(scc_core::BLOCK);
         let mut columns: Vec<Vector> = Vec::with_capacity(self.cols.len());
         let mut lazy: Vec<Option<LazyCol>> = Vec::with_capacity(self.cols.len());
-        let mut plain_cols = 0u64;
+        // Bytes decoded here, and how many of those columns a code scan
+        // could have left to its consumer.
+        let (mut output_bytes, mut coded) = (0u64, 0u64);
+        let t0 = Instant::now();
         for slot in 0..self.cols.len() {
-            if !via_handle {
+            if !vector_wise {
                 columns.push(self.read_column_vector(slot, seg, offset, take));
                 lazy.push(None);
-                plain_cols += 1;
                 continue;
             }
             let c = self.cols[slot];
-            let handle = self.handles[slot].get_or_insert_with(|| {
-                Arc::new(SegmentHandle::new(
-                    Arc::clone(&self.table),
-                    c,
-                    seg,
-                    Arc::clone(&self.stats),
-                ))
-            });
-            if code_scan && crate::lazy::segment_is_compressed(&self.table.columns()[c].1, seg) {
+            let col = &self.table.columns()[c].1;
+            let codes = code_scan && crate::lazy::segment_is_compressed(col, seg);
+            if codes && self.emit_codes {
+                let handle = self.handles[slot].get_or_insert_with(|| {
+                    Arc::new(SegmentHandle::new(
+                        Arc::clone(&self.table),
+                        c,
+                        seg,
+                        Arc::clone(&self.stats),
+                    ))
+                });
                 let lz = LazyCol::new(Arc::clone(handle) as Arc<dyn CodeCol>, offset, take);
                 columns.push(lz.placeholder());
                 lazy.push(Some(lz));
             } else {
-                columns.push(handle.materialize(offset, take)?);
+                let (v, bytes) = crate::lazy::decode_window(col, seg, offset, take)?;
+                columns.push(v);
                 lazy.push(None);
+                output_bytes += bytes;
+                coded += codes as u64;
             }
         }
+        if output_bytes > 0 {
+            self.stats.charge_decompress(t0.elapsed());
+            self.stats.charge_output(output_bytes);
+        }
+        // What the consumer of a code scan would have booked on decoding.
+        self.profile.values_decoded += take as u64 * coded;
         self.pos += take;
         if let Some(t) = &mut self.seg_trace {
-            t.2 += take as u64 * plain_cols;
+            t.2 += (take * lazy.iter().filter(|l| l.is_none()).count()) as u64;
         }
         Ok(Some(if lazy.iter().any(Option::is_some) {
             Batch::with_lazy(columns, lazy)
@@ -649,17 +660,16 @@ mod tests {
             .build()
     }
 
+    /// A scan of `cols` under the default options (1024-row vectors).
+    fn default_scan(t: &Arc<Table>, cols: &[&str], stats: &StatsHandle) -> Scan {
+        Scan::new(Arc::clone(t), cols, ScanOptions::default(), Arc::clone(stats), None)
+    }
+
     #[test]
     fn compressed_scan_yields_original_values() {
         let t = test_table();
         let stats = stats_handle();
-        let mut scan = Scan::new(
-            Arc::clone(&t),
-            &["key", "val", "flag"],
-            ScanOptions { vector_size: 1024, ..Default::default() },
-            Arc::clone(&stats),
-            None,
-        );
+        let mut scan = default_scan(&t, &["key", "val", "flag"], &stats);
         let out = collect(&mut scan);
         assert_eq!(out.len(), 10_000);
         assert_eq!(out.col(0).as_i64()[5000], 5000);
@@ -675,27 +685,11 @@ mod tests {
     #[test]
     fn segment_range_scan_matches_full_scan_slice() {
         let t = test_table();
-        let full = {
-            let mut scan = Scan::new(
-                Arc::clone(&t),
-                &["key", "val"],
-                ScanOptions { vector_size: 1024, ..Default::default() },
-                stats_handle(),
-                None,
-            );
-            collect(&mut scan)
-        };
+        let full = collect(&mut default_scan(&t, &["key", "val"], &stats_handle()));
         // Segments 1..3 cover rows 2048..6144.
         let stats = stats_handle();
-        let mut scan = Scan::new(
-            Arc::clone(&t),
-            &["key", "val"],
-            ScanOptions { vector_size: 1024, ..Default::default() },
-            Arc::clone(&stats),
-            None,
-        )
-        .try_with_segment_range(1..3)
-        .unwrap();
+        let mut scan =
+            default_scan(&t, &["key", "val"], &stats).try_with_segment_range(1..3).unwrap();
         let part = collect(&mut scan);
         assert_eq!(part.len(), 4096);
         assert_eq!(part.col(0).as_i64(), &full.col(0).as_i64()[2048..6144]);
@@ -703,30 +697,15 @@ mod tests {
         // Only the two in-range segments were charged.
         assert_eq!(stats.snapshot().pool_misses, 4, "2 segments x 2 columns");
         // An empty range yields nothing.
-        let mut empty = Scan::new(
-            Arc::clone(&t),
-            &["key"],
-            ScanOptions { vector_size: 1024, ..Default::default() },
-            stats_handle(),
-            None,
-        )
-        .try_with_segment_range(2..2)
-        .unwrap();
+        let mut empty =
+            default_scan(&t, &["key"], &stats_handle()).try_with_segment_range(2..2).unwrap();
         assert_eq!(collect(&mut empty).len(), 0);
     }
 
     #[test]
     fn bad_segment_range_is_a_typed_error_not_a_clamp() {
         let t = test_table(); // 5 segments of 2048 rows
-        let make = || {
-            Scan::new(
-                Arc::clone(&t),
-                &["key"],
-                ScanOptions { vector_size: 1024, ..Default::default() },
-                stats_handle(),
-                None,
-            )
-        };
+        let make = || default_scan(&t, &["key"], &stats_handle());
         let err = make().try_with_segment_range(3..9).map(|_| ()).unwrap_err();
         assert_eq!(err, Error::SegmentRangeOutOfBounds { start: 3, end: 9, n_segments: 5 });
         // A reversed (empty) range is rejected, not silently skipped.
@@ -836,14 +815,8 @@ mod tests {
     fn fault_free_injector_matches_clean_scan() {
         let t = test_table();
         let stats = stats_handle();
-        let mut scan = Scan::new(
-            Arc::clone(&t),
-            &["key", "val"],
-            ScanOptions { vector_size: 1024, ..Default::default() },
-            Arc::clone(&stats),
-            None,
-        )
-        .with_fault_injection(faulty(crate::disk::FaultPlan::none(1)), RetryPolicy::default());
+        let mut scan = default_scan(&t, &["key", "val"], &stats)
+            .with_fault_injection(faulty(crate::disk::FaultPlan::none(1)), RetryPolicy::default());
         let out = collect(&mut scan);
         assert_eq!(out.len(), 10_000);
         let s = stats.snapshot();
@@ -861,14 +834,7 @@ mod tests {
         // almost immediately.
         let clean_io = {
             let stats = stats_handle();
-            let mut scan = Scan::new(
-                Arc::clone(&t),
-                &["key", "val", "flag"],
-                ScanOptions { vector_size: 1024, ..Default::default() },
-                Arc::clone(&stats),
-                None,
-            );
-            collect(&mut scan);
+            collect(&mut default_scan(&t, &["key", "val", "flag"], &stats));
             stats.snapshot().io_bytes
         };
         let mut recovered_with_faults = false;
@@ -876,14 +842,7 @@ mod tests {
             let plan =
                 crate::disk::FaultPlan { seed, bit_flip: 0.2, truncate: 0.05, transient_fail: 0.1 };
             let stats = stats_handle();
-            let mut scan = Scan::new(
-                Arc::clone(&t),
-                &["key", "val", "flag"],
-                ScanOptions { vector_size: 1024, ..Default::default() },
-                Arc::clone(&stats),
-                None,
-            )
-            .with_fault_injection(
+            let mut scan = default_scan(&t, &["key", "val", "flag"], &stats).with_fault_injection(
                 faulty(plan),
                 RetryPolicy { max_attempts: 20, backoff_seconds: 0.001 },
             );
@@ -943,14 +902,8 @@ mod tests {
             crate::disk::FaultPlan { seed: 5, bit_flip: 0.0, truncate: 0.0, transient_fail: 1.0 };
         let disk = faulty(plan);
         let stats = stats_handle();
-        let mut scan = Scan::new(
-            Arc::clone(&t),
-            &["key"],
-            ScanOptions { vector_size: 1024, ..Default::default() },
-            Arc::clone(&stats),
-            None,
-        )
-        .with_fault_injection(Arc::clone(&disk), RetryPolicy::default());
+        let mut scan = default_scan(&t, &["key"], &stats)
+            .with_fault_injection(Arc::clone(&disk), RetryPolicy::default());
         let err = scan.try_next().expect_err("every read fails");
         let scc_core::Error::ReadFailed { chunk, attempts } = err else {
             panic!("expected ReadFailed, got {err}");
@@ -974,14 +927,7 @@ mod tests {
         };
         let run = || {
             let stats = stats_handle();
-            let mut scan = Scan::new(
-                Arc::clone(&t),
-                &["key", "val"],
-                ScanOptions { vector_size: 1024, ..Default::default() },
-                Arc::clone(&stats),
-                None,
-            )
-            .with_fault_injection(
+            let mut scan = default_scan(&t, &["key", "val"], &stats).with_fault_injection(
                 faulty(plan),
                 RetryPolicy { max_attempts: 8, backoff_seconds: 0.001 },
             );
@@ -1060,7 +1006,7 @@ mod tests {
         let (eager, eager_bytes, _) = run(false);
         let (lazy, lazy_bytes, profile) = run(true);
         assert_eq!(lazy, eager, "pushdown must not change results");
-        // ~10% selectivity: the code scan decodes far fewer values.
+        // The code scan decodes far fewer values.
         assert!(
             lazy_bytes < eager_bytes / 2,
             "code scan decoded {lazy_bytes} bytes vs eager {eager_bytes}"

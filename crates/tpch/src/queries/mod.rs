@@ -261,4 +261,46 @@ mod meta_tests {
             .collect();
         assert_eq!(got, GOLDEN);
     }
+
+    /// Every query's `(values_decoded, values_skipped)` on `small_db`,
+    /// serial and on two scan threads, is pinned; with code-space scans
+    /// off nothing is booked. The numbers were captured on two threads
+    /// before unfiltered scans started decoding eagerly. Serial runs
+    /// then booked less on Q5, Q10, Q12, Q14, Q18 and Q19, whose
+    /// collected build-side scans decoded without a booking operator;
+    /// now every scan books its own decode and the two agree.
+    #[test]
+    fn values_totals_match_golden() {
+        const GOLDEN: [(u32, (u64, u64)); 15] = [
+            (1, (422_142, 0)),
+            (3, (304_224, 0)),
+            (4, (225_462, 456)),
+            (5, (289_499, 0)),
+            (6, (215_552, 25_672)),
+            (7, (334_730, 0)),
+            (11, (32_200, 0)),
+            (14, (170_472, 74_752)),
+            (15, (215_652, 25_672)),
+            (18, (182_112, 0)),
+            (21, (392_036, 0)),
+            (10, (290_724, 0)),
+            (12, (271_590, 59_940)),
+            (17, (184_758, 2_160)),
+            (19, (369_836, 0)),
+        ];
+        let db = testkit::small_db();
+        let totals = |cfg: crate::QueryConfig| -> Vec<(u32, (u64, u64))> {
+            GOLDEN
+                .iter()
+                .map(|&(q, _)| (q, run_query(db, &cfg, q).explain.values_totals()))
+                .collect()
+        };
+        for threads in [1, 2] {
+            let got = totals(crate::QueryConfig { threads, ..Default::default() });
+            assert_eq!(got, GOLDEN, "threads={threads}");
+            let off =
+                totals(crate::QueryConfig { threads, code_scan: false, ..Default::default() });
+            assert!(off.iter().all(|&(_, t)| t == (0, 0)), "threads={threads}: {off:?}");
+        }
+    }
 }
