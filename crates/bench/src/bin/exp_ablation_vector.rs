@@ -36,9 +36,6 @@ fn main() {
                     vector_size: vs,
                     disk: Disk::middle_end(),
                     layout: Layout::Dsm,
-                    // The ablation measures per-vector decode
-                    // amortization, so decode must stay in the scan.
-                    code_scan: false,
                     ..Default::default()
                 },
                 stats_handle(),

@@ -1,9 +1,9 @@
 //! Compressed-domain predicate pushdown: scan codes, not values.
 //!
-//! Two sweeps, both comparing `code_scan: true` (Select evaluates the
-//! predicate against packed PFOR codes and only survivors are decoded,
-//! block-granular) against `code_scan: false` (the decode-then-test
-//! baseline):
+//! Two sweeps, both comparing `code_scan: true` (the filter fused into
+//! the scan evaluates the predicate against packed PFOR codes and only
+//! survivors are decoded, block-granular) against `code_scan: false`
+//! (the decode-then-test baseline):
 //!
 //! 1. A synthetic filtered aggregate `select sum(pay) where key < K`
 //!    over a uniform i32 column, at selectivities from 0.01% to 100%.
@@ -18,7 +18,7 @@
 //! `SCC_SF` (default 0.05) the TPC-H database.
 
 use scc_bench::{env_f64, env_usize, time_median};
-use scc_engine::{AggExpr, Expr, HashAggregate, Operator, Select};
+use scc_engine::{AggExpr, Expr, HashAggregate, Operator};
 use scc_storage::disk::stats_handle;
 use scc_storage::{Compression, Scan, ScanOptions, TableBuilder};
 use std::sync::Arc;
@@ -63,14 +63,14 @@ fn main() {
             let mut per_run = scc_storage::ScanSnapshot::default();
             let mut skipped = 0u64;
             let cpu = time_median(3, || {
-                let scan = Scan::new(
+                let filtered = Scan::new(
                     Arc::clone(&table),
                     &["key", "pay"],
                     ScanOptions { code_scan, ..ScanOptions::default() },
                     Arc::clone(&stats),
                     None,
-                );
-                let filtered = Select::new(scan, Expr::col(0).lt(Expr::lit_i32(k)));
+                )
+                .into_plan(Some(Expr::col(0).lt(Expr::lit_i32(k))), 1);
                 let mut agg =
                     HashAggregate::new(filtered, vec![], vec![AggExpr::Sum(Expr::col(1))]);
                 sum = agg.next().expect("one group").col(0).as_i64()[0];

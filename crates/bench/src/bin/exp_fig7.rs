@@ -42,9 +42,7 @@ fn main() {
                 vector_size: 1024,
                 disk: Disk::middle_end(),
                 layout: Layout::Dsm,
-                // This experiment measures decode bandwidth: no query
-                // consumes the values, so decode must happen in the scan.
-                code_scan: false,
+                ..Default::default()
             };
             let mut total = 0usize;
             // Drain the shared handle per run so the reported RAM

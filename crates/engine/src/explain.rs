@@ -30,7 +30,7 @@ pub struct OpProfile {
     pub values_decoded: u64,
     /// Values this operator consumed *without* decoding: answered in
     /// code space by a compressed-domain predicate, or pruned before
-    /// materialization. Zero for plans that never carry lazy columns.
+    /// materialization. Only a filter fused into a scan books any.
     pub values_skipped: u64,
 }
 
@@ -44,13 +44,20 @@ impl OpProfile {
         start: Option<std::time::Instant>,
         result: &Result<Option<crate::batch::Batch>, E>,
     ) {
+        self.record_rows(start, result.as_ref().ok().and_then(|b| b.as_ref().map(|b| b.len())));
+    }
+
+    /// [`Self::record`] for a call that produced `rows` rows (`None`:
+    /// end of stream, or an error).
+    #[inline]
+    pub fn record_rows(&mut self, start: Option<std::time::Instant>, rows: Option<usize>) {
         self.calls += 1;
         if let Some(t) = start {
             self.wall_ns += scc_obs::elapsed_ns(t);
         }
-        if let Ok(Some(batch)) = result {
+        if let Some(rows) = rows {
             self.vectors += 1;
-            self.rows += batch.len() as u64;
+            self.rows += rows as u64;
         }
     }
 
@@ -155,8 +162,8 @@ impl ExplainNode {
                     fmt_ns(self.profile.wall_ns),
                     fmt_ns(self.self_ns())
                 );
-                // Compressed-domain accounting, shown only where a lazy
-                // column was in play (and only in the timed rendering,
+                // Compressed-domain accounting, shown only where a scan
+                // decoded or filtered codes (and only in the timed rendering,
                 // so structure goldens stay stable).
                 if self.profile.values_decoded + self.profile.values_skipped > 0 {
                     let _ = write!(

@@ -261,6 +261,41 @@ impl Expr {
         Expr::BucketI32(Box::new(self), boundaries)
     }
 
+    /// Calls `f` on every column reference in the tree; `f` may
+    /// renumber it.
+    pub fn visit_cols_mut(&mut self, f: &mut impl FnMut(&mut usize)) {
+        match self {
+            Expr::Col(i) => f(i),
+            Expr::LitI32(_)
+            | Expr::LitI64(_)
+            | Expr::LitU32(_)
+            | Expr::LitF64(_)
+            | Expr::LitBool(_) => {}
+            Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Eq(a, b)
+            | Expr::Ne(a, b)
+            | Expr::Lt(a, b)
+            | Expr::Le(a, b)
+            | Expr::Gt(a, b)
+            | Expr::Ge(a, b)
+            | Expr::And(a, b)
+            | Expr::Or(a, b) => {
+                a.visit_cols_mut(f);
+                b.visit_cols_mut(f);
+            }
+            Expr::ToF64(a) | Expr::Not(a) | Expr::InSet(a, _) | Expr::BucketI32(a, _) => {
+                a.visit_cols_mut(f)
+            }
+            Expr::Cond(m, t, e) => {
+                m.visit_cols_mut(f);
+                t.visit_cols_mut(f);
+                e.visit_cols_mut(f);
+            }
+        }
+    }
+
     /// Evaluates against a batch, producing one vector of `batch.len()`
     /// values.
     pub fn eval(&self, batch: &Batch) -> Vector {
@@ -290,7 +325,7 @@ impl Expr {
                     Vector::I32(x) => x.iter().map(|&v| v as f64).collect(),
                     Vector::I64(x) => x.iter().map(|&v| v as f64).collect(),
                     Vector::U32(x) => x.iter().map(|&v| v as f64).collect(),
-                    Vector::Mask(_) | Vector::Lazy { .. } => panic!("cannot promote to f64"),
+                    Vector::Mask(_) => panic!("cannot promote to f64"),
                 })
             }
             Expr::Eq(a, b) => compare!(a, b, batch, |x, y| x == y),
@@ -421,6 +456,21 @@ mod tests {
         let e = Expr::col(2).eq(Expr::lit_u32(7)).cond(Expr::col(1), Expr::lit_f64(0.0));
         let v = e.eval(&batch());
         assert_eq!(v.as_f64(), &[0.1, 0.0, 0.3, 0.0, 0.5]);
+    }
+
+    #[test]
+    fn visit_cols_mut_reaches_every_column() {
+        let mut e = Expr::col(3)
+            .lt(Expr::col(1).add(Expr::lit_i64(1)))
+            .cond(Expr::col(3).to_f64(), Expr::col(0).in_set(HashSet::new()));
+        let mut seen = Vec::new();
+        e.visit_cols_mut(&mut |i| {
+            seen.push(*i);
+            *i += 10;
+        });
+        assert_eq!(seen, [3, 1, 3, 0]);
+        e.visit_cols_mut(&mut |i| seen.push(*i));
+        assert_eq!(&seen[4..], [13, 11, 13, 10]);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod explain;
 pub mod expr;
 pub mod ops;
 
-pub use batch::{Batch, CodeCol, ColType, LazyCol, PushPred, Vector};
+pub use batch::{Batch, ColType, Vector};
 pub use explain::{ExplainNode, OpProfile};
 pub use expr::Expr;
 pub use ops::aggregate::{AggExpr, HashAggregate};

@@ -336,8 +336,7 @@ impl HashAggregate {
         let mut gids: Vec<u32> = Vec::new();
         // Key types and aggregate states, fixed by the first rows.
         let mut typed: Option<(Vec<ColType>, Vec<State>)> = None;
-        while let Some(mut batch) = self.input.try_next()? {
-            self.profile.values_decoded += batch.ensure_values()?;
+        while let Some(batch) = self.input.try_next()? {
             if batch.is_empty() {
                 continue;
             }

@@ -77,10 +77,9 @@ impl HashJoin {
         self.ensure_built()?;
         let mut key = vec![0u64; self.probe_keys.len()];
         loop {
-            let Some(mut batch) = self.probe.try_next()? else {
+            let Some(batch) = self.probe.try_next()? else {
                 return Ok(None);
             };
-            self.profile.values_decoded += batch.ensure_values()?;
             match self.kind {
                 JoinKind::Inner => {
                     let mut probe_idx: Vec<usize> = Vec::new();

@@ -64,8 +64,7 @@ impl MergeJoin {
                 return Ok(false);
             }
             match self.left.try_next()? {
-                Some(mut b) if !b.is_empty() => {
-                    self.profile.values_decoded += b.ensure_values()?;
+                Some(b) if !b.is_empty() => {
                     self.left_buf = Some((b, 0));
                 }
                 Some(_) => continue,
@@ -88,8 +87,7 @@ impl MergeJoin {
                 return Ok(false);
             }
             match self.right.try_next()? {
-                Some(mut b) if !b.is_empty() => {
-                    self.profile.values_decoded += b.ensure_values()?;
+                Some(b) if !b.is_empty() => {
                     self.right_buf = Some((b, 0));
                 }
                 Some(_) => continue,

@@ -82,10 +82,7 @@ pub fn collect(op: &mut dyn Operator) -> Batch {
 /// first error raised anywhere in the pipeline.
 pub fn try_collect(op: &mut dyn Operator) -> Result<Batch, Error> {
     let mut out: Option<Batch> = None;
-    while let Some(mut batch) = op.try_next()? {
-        // Batches can still carry compressed columns; collecting is a
-        // value consumer, so decode them here.
-        batch.ensure_values()?;
+    while let Some(batch) = op.try_next()? {
         match &mut out {
             None => out = Some(batch),
             Some(acc) => {

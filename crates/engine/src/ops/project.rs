@@ -20,10 +20,9 @@ impl Project {
     }
 
     fn produce(&mut self) -> Result<Option<Batch>, scc_core::Error> {
-        let Some(mut batch) = self.input.try_next()? else {
+        let Some(batch) = self.input.try_next()? else {
             return Ok(None);
         };
-        self.profile.values_decoded += batch.ensure_values()?;
         Ok(Some(Batch::new(self.exprs.iter().map(|e| e.eval(&batch)).collect())))
     }
 }

@@ -33,7 +33,6 @@ fn cmp_at(v: &Vector, a: usize, b: usize) -> Ordering {
         Vector::U32(x) => x[a].cmp(&x[b]),
         Vector::F64(x) => x[a].partial_cmp(&x[b]).unwrap_or(Ordering::Equal),
         Vector::Mask(x) => x[a].cmp(&x[b]),
-        Vector::Lazy { .. } => panic!("cmp_at on a lazy column: call Batch::ensure_values first"),
     }
 }
 

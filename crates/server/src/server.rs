@@ -384,13 +384,7 @@ impl Shared {
                 return;
             }
             match op.try_next() {
-                Ok(Some(mut b)) => {
-                    // Unfiltered code scans deliver lazy columns; the wire
-                    // format carries values, so decode before serializing.
-                    if let Err(e) = b.ensure_values() {
-                        self.send(stream, &error_response(&e));
-                        return;
-                    }
+                Ok(Some(b)) => {
                     rows += b.len() as u64;
                     batches += 1;
                     if !self.send(stream, &Response::Batch(b)) {

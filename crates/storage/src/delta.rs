@@ -158,9 +158,6 @@ impl Operator for MergingScan {
             let Some(mut batch) = self.inner.try_next()? else {
                 return Ok(self.next_appends());
             };
-            // Updates are patched by writing into the vectors, so the
-            // batch must hold values, not codes.
-            batch.ensure_values()?;
             let n = batch.len();
             let base = self.pos;
             self.pos += n;

@@ -309,9 +309,8 @@ impl std::fmt::Display for ScanSnapshot {
 }
 
 /// The scan ledger: every accounting event of a scan is booked here
-/// exactly once, by whichever thread does the work — the scan entering
-/// a segment, a parallel worker, or a lazy [`crate::SegmentHandle`]
-/// decoding on the consumer. Relaxed atomics suffice: each cell is an
+/// exactly once, by whichever thread does the work — the serial scan or
+/// a parallel worker, decoding or entering a segment. Relaxed atomics suffice: each cell is an
 /// independent statistic that publishes no other data. The `charge_*`
 /// methods are also the only writers of the `storage.scan.*` registry
 /// counters.
@@ -417,8 +416,8 @@ impl ScanStats {
 /// consistent across concurrent scans of the same disk.
 pub type DiskHandle = std::sync::Arc<Mutex<dyn DiskRead + Send>>;
 
-/// Shared handle to a scan ledger; cloned into every worker and lazy
-/// column handle that does work on the scan's behalf.
+/// Shared handle to a scan ledger; cloned into every worker that does
+/// work on the scan's behalf.
 pub type StatsHandle = Arc<ScanStats>;
 
 /// Creates a fresh stats handle.

@@ -1,69 +1,41 @@
-//! Compressed-column handles for lazy materialization.
+//! Late materialization: the filter a scan runs over its packed codes.
 //!
-//! A [`SegmentHandle`] is the storage side of the engine's
-//! `CodeCol` contract: one handle per (column, segment) pair of a
-//! [`Table`], held by the batches a [`crate::Scan`] emits for a
-//! `Select` above it (`into_plan` with a predicate). `Select`
-//! evaluates pushed-down predicates against the *codes* through
-//! [`SegmentHandle::try_select`]; decompression happens only when an
-//! operator actually needs values — either the whole window
-//! ([`SegmentHandle::materialize`]) or just the surviving rows
-//! ([`SegmentHandle::gather`], block-granular).
+//! Free functions over one (column, segment, window) reach the stored
+//! form directly: [`decode_window`] decodes rows into a fresh vector,
+//! [`select_window`] tests a pushed predicate against the packed codes
+//! without decoding, and [`gather_window`] decodes only the 128-value
+//! blocks that hold the requested rows. String columns expose their
+//! dictionary codes (predicates arrive pre-translated to code sets).
 //!
-//! `decode_window` is the one decode routine: the scan calls it
-//! directly when nothing reads codes and books each batch once, and
-//! `materialize` calls it and books each call. Either way decompression
-//! is charged to the scan's [`StatsHandle`] on whichever thread it
-//! happens, so `decompress_ns`/`output_bytes` keep meaning "values
-//! actually decoded". Chunk I/O is *not* charged here — the scan
-//! charged it when it entered the segment, and skipping decode never
-//! skips the read of the compressed bytes.
+//! A [`Filter`] is the predicate `Scan::into_plan` fuses into the scan.
+//! Per vector, each `col OP literal` / `col IN set` conjunct is tested
+//! against the codes of a patched segment; every other conjunct decodes
+//! the columns it reads and is evaluated over those alone. Surviving
+//! rows are then decoded from the still-packed columns: nothing for a
+//! dead vector, everything for a fully passing one, touched blocks
+//! otherwise. The filter books what it decodes into the scan's
+//! [`ScanStats`] as it happens; chunk I/O was charged when the scan
+//! entered the segment, and skipping decode never skips that read.
 
 use crate::column::{Column, ColumnStore, NumColumn, StoredSegment};
-use crate::disk::StatsHandle;
+use crate::disk::ScanStats;
 use crate::table::Table;
-use scc_core::{type_literal, Error, TypedLit, Value, ValuePred, BLOCK};
-use scc_engine::{CodeCol, ColType, PushPred, Vector};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use scc_core::{type_literal, Error, PredOp, TypedLit, Value, ValuePred, BLOCK};
+use scc_engine::ops::select::selected_rows;
+use scc_engine::{Batch, Expr, Vector};
+use std::collections::HashSet;
 use std::time::Instant;
 
-/// A `CodeCol` over one stored segment of one column. String columns
-/// expose their dictionary codes (predicates arrive pre-translated to
-/// code sets, same as the eager scan's contract).
-pub struct SegmentHandle {
-    table: Arc<Table>,
-    col: usize,
-    seg: usize,
-    stats: StatsHandle,
-    /// Values decoded through this handle so far, wherever that
-    /// happened; the scan's per-segment trace span reports it.
-    decoded: AtomicU64,
-}
-
-impl SegmentHandle {
-    /// Builds a handle for segment `seg` of column `col` (a table
-    /// column index), charging decode work to `stats`.
-    pub fn new(table: Arc<Table>, col: usize, seg: usize, stats: StatsHandle) -> Self {
-        Self { table, col, seg, stats, decoded: AtomicU64::new(0) }
-    }
-
-    /// Values decoded through this handle so far.
-    pub(crate) fn values_decoded(&self) -> u64 {
-        self.decoded.load(Relaxed)
-    }
-
-    /// Books one decode: its wall time, the values it decoded and the
-    /// bytes it delivered into output vectors.
-    fn charge_decode(&self, t0: Instant, values: u64, produced: u64) {
-        self.stats.charge_decompress(t0.elapsed());
-        self.stats.charge_output(produced);
-        self.decoded.fetch_add(values, Relaxed);
-    }
-
-    fn column(&self) -> &Column {
-        &self.table.columns()[self.col].1
-    }
+/// A conjunct a segment may answer over its codes: one column compared
+/// against a literal in the `i64` carrier (exact for every integer
+/// type), or tested for membership in a set keyed like
+/// [`Vector::key_at`]. The literal is re-encoded into the column's value
+/// type and, when the segment's scheme allows, into code space.
+enum PushPred {
+    /// `column OP literal`.
+    Cmp { op: PredOp, lit: i64 },
+    /// `column IN set`.
+    InSet(HashSet<u64>),
 }
 
 /// True when the stored form of `col`'s segment `seg` supports
@@ -119,6 +91,28 @@ fn select_typed<V: Value>(
     Ok(true)
 }
 
+/// Evaluates `pred` over rows `[offset, offset + out.len())` of `col`'s
+/// segment `seg` without decoding, writing the selection into `out`.
+/// `Ok(false)` means the segment cannot answer in code space (delta
+/// coding, a wrapped window, plain or LZRW1 storage): decode and test
+/// the values instead. `Ok(true)` means `out` holds exactly the rows a
+/// decode-then-test evaluation would select.
+fn select_window(
+    col: &Column,
+    seg: usize,
+    pred: &PushPred,
+    offset: usize,
+    out: &mut [bool],
+) -> Result<bool, Error> {
+    match col {
+        Column::Num(NumColumn::I32(s)) => select_typed(s, seg, pred, offset, out),
+        Column::Num(NumColumn::I64(s)) => select_typed(s, seg, pred, offset, out),
+        Column::Num(NumColumn::U32(s)) => select_typed(s, seg, pred, offset, out),
+        Column::Str(sc) => select_typed(&sc.codes, seg, pred, offset, out),
+        Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
+    }
+}
+
 /// Decodes rows `[offset, offset + len)` of `col`'s segment `seg` into
 /// one fresh vector. Returns it with the bytes it holds; the caller
 /// books both.
@@ -149,18 +143,17 @@ pub(crate) fn decode_window(
 }
 
 fn gather_typed<V: Value>(
-    handle: &SegmentHandle,
     store: &ColumnStore<V>,
+    seg: usize,
     offset: usize,
     rows: &[usize],
-) -> Result<(Vec<V>, u64), Error> {
-    let seg = handle.seg;
+    wrap: fn(Vec<V>) -> Vector,
+) -> Result<(Vector, u64, u64), Error> {
     let seg_len = rows_in_segment(store, seg);
     let mut out = Vec::with_capacity(rows.len());
     let mut buf = [V::default(); BLOCK];
     let mut cur_block = usize::MAX;
     let mut decoded = 0u64;
-    let t0 = Instant::now();
     for &r in rows {
         let pos = offset + r;
         let blk = pos / BLOCK;
@@ -173,87 +166,283 @@ fn gather_typed<V: Value>(
         }
         out.push(buf[pos % BLOCK]);
     }
-    handle.charge_decode(t0, decoded, (rows.len() * V::byte_width()) as u64);
-    Ok((out, decoded))
+    Ok((wrap(out), decoded, (rows.len() * V::byte_width()) as u64))
 }
 
-impl CodeCol for SegmentHandle {
-    fn col_type(&self) -> ColType {
-        match self.column() {
-            Column::Num(NumColumn::I32(_)) => ColType::I32,
-            Column::Num(NumColumn::I64(_)) => ColType::I64,
-            Column::Num(NumColumn::U32(_)) | Column::Str(_) => ColType::U32,
-            Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
+/// Decodes only the rows at `rows` (ascending, relative to `offset`) of
+/// `col`'s segment `seg`, a whole 128-value block at a time. Returns the
+/// gathered vector, the values decoded to serve it and the bytes it
+/// holds; the caller books them.
+fn gather_window(
+    col: &Column,
+    seg: usize,
+    offset: usize,
+    rows: &[usize],
+) -> Result<(Vector, u64, u64), Error> {
+    match col {
+        Column::Num(NumColumn::I32(s)) => gather_typed(s, seg, offset, rows, Vector::I32),
+        Column::Num(NumColumn::I64(s)) => gather_typed(s, seg, offset, rows, Vector::I64),
+        Column::Num(NumColumn::U32(s)) => gather_typed(s, seg, offset, rows, Vector::U32),
+        Column::Str(sc) => gather_typed(&sc.codes, seg, offset, rows, Vector::U32),
+        Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
+    }
+}
+
+/// Flattens an `And` tree into its conjuncts (any other node is a
+/// single conjunct).
+fn split_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+    if let Expr::And(a, b) = e {
+        split_conjuncts(a, out);
+        split_conjuncts(b, out);
+    } else {
+        out.push(e);
+    }
+}
+
+/// The `i64` carrier of an exact integer literal (`f64` literals are
+/// not pushable: their comparisons are not representable in code space).
+fn literal_of(e: &Expr) -> Option<i64> {
+    match e {
+        Expr::LitI32(v) => Some(*v as i64),
+        Expr::LitI64(v) => Some(*v),
+        Expr::LitU32(v) => Some(*v as i64),
+        _ => None,
+    }
+}
+
+/// `lit OP col` reads as `col mirror(OP) lit`.
+fn mirror(op: PredOp) -> PredOp {
+    match op {
+        PredOp::Eq => PredOp::Eq,
+        PredOp::Ne => PredOp::Ne,
+        PredOp::Lt => PredOp::Gt,
+        PredOp::Le => PredOp::Ge,
+        PredOp::Gt => PredOp::Lt,
+        PredOp::Ge => PredOp::Le,
+    }
+}
+
+/// Recognizes a conjunct the compressed domain can evaluate: a single
+/// column compared against an integer literal (either side), or a
+/// column set-membership test.
+fn as_pushable(e: &Expr) -> Option<(usize, PushPred)> {
+    let cmp = |a: &Expr, b: &Expr, op: PredOp| match (a, b) {
+        (Expr::Col(i), rhs) => literal_of(rhs).map(|lit| (*i, PushPred::Cmp { op, lit })),
+        (lhs, Expr::Col(i)) => {
+            literal_of(lhs).map(|lit| (*i, PushPred::Cmp { op: mirror(op), lit }))
         }
+        _ => None,
+    };
+    match e {
+        Expr::Eq(a, b) => cmp(a, b, PredOp::Eq),
+        Expr::Ne(a, b) => cmp(a, b, PredOp::Ne),
+        Expr::Lt(a, b) => cmp(a, b, PredOp::Lt),
+        Expr::Le(a, b) => cmp(a, b, PredOp::Le),
+        Expr::Gt(a, b) => cmp(a, b, PredOp::Gt),
+        Expr::Ge(a, b) => cmp(a, b, PredOp::Ge),
+        Expr::InSet(inner, set) => match &**inner {
+            Expr::Col(i) => Some((*i, PushPred::InSet(set.clone()))),
+            _ => None,
+        },
+        _ => None,
     }
+}
 
-    fn try_select(&self, pred: &PushPred, offset: usize, out: &mut [bool]) -> Result<bool, Error> {
-        match self.column() {
-            Column::Num(NumColumn::I32(s)) => select_typed(s, self.seg, pred, offset, out),
-            Column::Num(NumColumn::I64(s)) => select_typed(s, self.seg, pred, offset, out),
-            Column::Num(NumColumn::U32(s)) => select_typed(s, self.seg, pred, offset, out),
-            Column::Str(sc) => select_typed(&sc.codes, self.seg, pred, offset, out),
-            Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
+/// One conjunct of a [`Filter`].
+struct Conjunct {
+    /// The column and literal a patched segment may test in code space.
+    push: Option<(usize, PushPred)>,
+    /// The scan columns the conjunct reads.
+    cols: Vec<usize>,
+    /// The conjunct with column `cols[i]` renumbered to `i`.
+    expr: Expr,
+}
+
+/// A predicate over a scan's output columns, compiled for the scan to
+/// run per vector (see the module docs).
+pub(crate) struct Filter {
+    /// The outcome of the conjuncts that read no column.
+    constant: bool,
+    conjuncts: Vec<Conjunct>,
+}
+
+/// One vector a scan read: rows `[offset, offset + len)` of segment
+/// `seg`, each column decoded or, while still packed, `None`.
+pub(crate) struct Window {
+    pub(crate) seg: usize,
+    pub(crate) offset: usize,
+    pub(crate) len: usize,
+    pub(crate) vectors: Vec<Option<Vector>>,
+}
+
+impl Filter {
+    /// Compiles `predicate`.
+    pub(crate) fn new(predicate: &Expr) -> Self {
+        let mut parts = Vec::new();
+        split_conjuncts(predicate, &mut parts);
+        let (mut constant, mut conjuncts) = (true, Vec::new());
+        for part in parts {
+            let (mut cols, mut expr) = (Vec::new(), part.clone());
+            expr.visit_cols_mut(&mut |i| {
+                *i = cols.iter().position(|c| c == i).unwrap_or_else(|| {
+                    cols.push(*i);
+                    cols.len() - 1
+                });
+            });
+            if cols.is_empty() {
+                // A folded out-of-domain literal: evaluate it once.
+                let one_row = Batch::new(vec![Vector::Mask(vec![true])]);
+                constant &= expr.eval(&one_row).as_mask()[0];
+            } else {
+                conjuncts.push(Conjunct { push: as_pushable(part), cols, expr });
+            }
         }
+        Self { constant, conjuncts }
     }
 
-    fn materialize(&self, offset: usize, len: usize) -> Result<Vector, Error> {
-        let t0 = Instant::now();
-        let (v, bytes) = decode_window(self.column(), self.seg, offset, len)?;
-        self.charge_decode(t0, len as u64, bytes);
-        Ok(v)
-    }
-
-    fn gather(&self, offset: usize, rows: &[usize]) -> Result<(Vector, u64), Error> {
-        Ok(match self.column() {
-            Column::Num(NumColumn::I32(s)) => {
-                let (v, d) = gather_typed(self, s, offset, rows)?;
-                (Vector::I32(v), d)
+    /// Filters one window of a scan of `table`'s columns `cols`, booking
+    /// every decode into `stats`. Conjuncts are not short-circuited.
+    /// Returns the dense survivors (`None` when no row passed) and the
+    /// values decoded and skipped.
+    pub(crate) fn apply(
+        &self,
+        table: &Table,
+        cols: &[usize],
+        w: Window,
+        stats: &ScanStats,
+    ) -> Result<(Option<Batch>, u64, u64), Error> {
+        let Window { seg, offset, len: n, mut vectors } = w;
+        let column = |slot: usize| &table.columns()[cols[slot]].1;
+        let book = |t0: Instant, bytes: u64| {
+            stats.charge_decompress(t0.elapsed());
+            stats.charge_output(bytes);
+        };
+        let decode = |slot: usize| {
+            let t0 = Instant::now();
+            let (v, bytes) = decode_window(column(slot), seg, offset, n)?;
+            book(t0, bytes);
+            Ok::<_, Error>(v)
+        };
+        let (mut decoded, mut skipped) = (0u64, 0u64);
+        let mut mask = vec![self.constant; n];
+        let mut sel = vec![false; n];
+        for c in &self.conjuncts {
+            if let Some((slot, pred)) = &c.push {
+                if vectors[*slot].is_none()
+                    && select_window(column(*slot), seg, pred, offset, &mut sel)?
+                {
+                    mask.iter_mut().zip(&sel).for_each(|(m, s)| *m &= *s);
+                    continue;
+                }
             }
-            Column::Num(NumColumn::I64(s)) => {
-                let (v, d) = gather_typed(self, s, offset, rows)?;
-                (Vector::I64(v), d)
+            // Decode what the conjunct reads, evaluate it over those
+            // columns alone, and put them back.
+            let mut local = Vec::with_capacity(c.cols.len());
+            for &slot in &c.cols {
+                local.push(match vectors[slot].take() {
+                    Some(v) => v,
+                    None => {
+                        decoded += n as u64;
+                        decode(slot)?
+                    }
+                });
             }
-            Column::Num(NumColumn::U32(s)) => {
-                let (v, d) = gather_typed(self, s, offset, rows)?;
-                (Vector::U32(v), d)
+            let local = Batch::new(local);
+            mask.iter_mut().zip(c.expr.eval_ref(&local).as_mask()).for_each(|(m, s)| *m &= *s);
+            for (&slot, v) in c.cols.iter().zip(local.columns) {
+                vectors[slot] = Some(v);
             }
-            Column::Str(sc) => {
-                let (v, d) = gather_typed(self, &sc.codes, offset, rows)?;
-                (Vector::U32(v), d)
-            }
-            Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
-        })
+        }
+        let rows = selected_rows(&mask);
+        if rows.is_empty() {
+            skipped = n as u64 * vectors.iter().filter(|v| v.is_none()).count() as u64;
+            return Ok((None, decoded, skipped));
+        }
+        let mut out = Vec::with_capacity(vectors.len());
+        for (slot, v) in vectors.into_iter().enumerate() {
+            out.push(match v {
+                Some(v) if rows.len() == n => v,
+                Some(v) => v.gather(&rows),
+                None if rows.len() == n => {
+                    decoded += n as u64;
+                    decode(slot)?
+                }
+                None => {
+                    let t0 = Instant::now();
+                    let (v, values, bytes) = gather_window(column(slot), seg, offset, &rows)?;
+                    book(t0, bytes);
+                    decoded += values;
+                    skipped += (n as u64).saturating_sub(values);
+                    v
+                }
+            });
+        }
+        Ok((Some(Batch::new(out)), decoded, skipped))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::stats_handle;
+    use crate::disk::{stats_handle, ScanSnapshot};
+    use crate::scan::{Scan, ScanOptions};
     use crate::table::TableBuilder;
-    use scc_core::PredOp;
+    use scc_engine::ops::collect;
+    use scc_engine::{OpProfile, Operator};
+    use std::sync::Arc;
+
+    const ROWS: usize = 10_000;
 
     fn table() -> Arc<Table> {
-        // Value orders are scrambled so the analyzer picks PFOR (a
-        // sequential column would compress as PFOR-DELTA, which never
-        // answers predicates in code space).
+        // Value orders are scrambled so the analyzer picks PFOR; the
+        // sequential `key` compresses as PFOR-DELTA, which never answers
+        // predicates in code space.
         let mix = |i: usize| i.wrapping_mul(2654435761) >> 7;
         TableBuilder::new("lz")
             .seg_rows(2048)
-            .add_i64("key", (0..10_000).collect())
-            .add_i32("val", (0..10_000).map(|i| (mix(i) % 97) as i32).collect())
-            .add_str("flag", (0..10_000).map(|i| ["A", "B", "C"][mix(i) % 3].to_string()).collect())
+            .add_i64("key", (0..ROWS as i64).collect())
+            .add_i32("val", (0..ROWS).map(|i| (mix(i) % 97) as i32).collect())
+            .add_str("flag", (0..ROWS).map(|i| ["A", "B", "C"][mix(i) % 3].to_string()).collect())
+            .add_i64("wide", (0..ROWS).map(|i| (mix(i + 77) % 1000) as i64).collect())
             .build()
+    }
+
+    fn col<'a>(t: &'a Table, name: &str) -> &'a Column {
+        &t.columns()[t.col_index(name)].1
+    }
+
+    /// `pred` over `cols` through a filtered scan: the output, the
+    /// `Select` row's profile and the ledger.
+    fn filtered(
+        t: &Arc<Table>,
+        cols: &[&str],
+        pred: Expr,
+        code_scan: bool,
+    ) -> (Batch, OpProfile, ScanSnapshot) {
+        let stats = stats_handle();
+        let opts = ScanOptions { code_scan, ..Default::default() };
+        let mut plan =
+            Scan::new(Arc::clone(t), cols, opts, Arc::clone(&stats), None).into_plan(Some(pred), 1);
+        let out = collect(plan.as_mut());
+        (out, plan.profile(), stats.snapshot())
+    }
+
+    /// Values a block-granular gather of the table rows `rows` decodes.
+    fn block_values(rows: &[i64]) -> u64 {
+        let mut blocks: Vec<usize> = rows.iter().map(|&r| r as usize / BLOCK).collect();
+        blocks.dedup();
+        blocks.iter().map(|b| BLOCK.min(ROWS - b * BLOCK) as u64).sum()
     }
 
     #[test]
     fn select_matches_decode_then_test() {
         let t = table();
-        let h = SegmentHandle::new(Arc::clone(&t), t.col_index("val"), 1, stats_handle());
         let mut sel = vec![false; 1024];
-        assert!(h.try_select(&PushPred::Cmp { op: PredOp::Lt, lit: 10 }, 0, &mut sel).unwrap());
-        let Vector::I32(vals) = h.materialize(0, 1024).unwrap() else { panic!("i32") };
+        let pred = PushPred::Cmp { op: PredOp::Lt, lit: 10 };
+        assert!(select_window(col(&t, "val"), 1, &pred, 0, &mut sel).unwrap());
+        let (Vector::I32(vals), _) = decode_window(col(&t, "val"), 1, 0, 1024).unwrap() else {
+            panic!("i32")
+        };
         for (i, (&s, &v)) in sel.iter().zip(&vals).enumerate() {
             assert_eq!(s, v < 10, "row {i}");
         }
@@ -264,20 +453,15 @@ mod tests {
         let t = table();
         // val is i32; an i64 literal beyond i32::MAX can never match Eq
         // and always matches Lt.
-        let h = SegmentHandle::new(Arc::clone(&t), t.col_index("val"), 0, stats_handle());
         let mut sel = vec![true; 256];
-        assert!(h
-            .try_select(&PushPred::Cmp { op: PredOp::Eq, lit: i64::MAX }, 0, &mut sel)
-            .unwrap());
+        let cmp = |op, lit| PushPred::Cmp { op, lit };
+        assert!(select_window(col(&t, "val"), 0, &cmp(PredOp::Eq, i64::MAX), 0, &mut sel).unwrap());
         assert!(sel.iter().all(|&s| !s));
-        assert!(h
-            .try_select(&PushPred::Cmp { op: PredOp::Lt, lit: i64::MAX }, 0, &mut sel)
-            .unwrap());
+        assert!(select_window(col(&t, "val"), 0, &cmp(PredOp::Lt, i64::MAX), 0, &mut sel).unwrap());
         assert!(sel.iter().all(|&s| s));
         // Negative literal against unsigned dictionary codes: Ge is
         // always true, Eq always false.
-        let hs = SegmentHandle::new(Arc::clone(&t), t.col_index("flag"), 0, stats_handle());
-        assert!(hs.try_select(&PushPred::Cmp { op: PredOp::Ge, lit: -1 }, 0, &mut sel).unwrap());
+        assert!(select_window(col(&t, "flag"), 0, &cmp(PredOp::Ge, -1), 0, &mut sel).unwrap());
         assert!(sel.iter().all(|&s| s));
     }
 
@@ -285,10 +469,11 @@ mod tests {
     fn in_set_selects_dictionary_codes() {
         let t = table();
         let codes = t.str_col("flag").codes_matching(|s| s == "B");
-        let h = SegmentHandle::new(Arc::clone(&t), t.col_index("flag"), 0, stats_handle());
         let mut sel = vec![false; 2048];
-        assert!(h.try_select(&PushPred::InSet(codes), 0, &mut sel).unwrap());
-        let Vector::U32(vals) = h.materialize(0, 2048).unwrap() else { panic!("u32") };
+        assert!(select_window(col(&t, "flag"), 0, &PushPred::InSet(codes), 0, &mut sel).unwrap());
+        let (Vector::U32(vals), _) = decode_window(col(&t, "flag"), 0, 0, 2048).unwrap() else {
+            panic!("u32")
+        };
         let b = t.str_col("flag").code_of("B").unwrap();
         for (&s, &v) in sel.iter().zip(&vals) {
             assert_eq!(s, v == b);
@@ -298,23 +483,99 @@ mod tests {
     #[test]
     fn gather_is_block_granular_and_charges_stats() {
         let t = table();
-        let stats = stats_handle();
-        let h = SegmentHandle::new(Arc::clone(&t), t.col_index("key"), 2, Arc::clone(&stats));
-        // Rows within two distinct 128-blocks: exactly 256 values decode.
-        let (v, decoded) = h.gather(0, &[3, 4, 700]).unwrap();
-        assert_eq!(decoded, 256);
+        // Rows within two distinct 128-blocks: exactly 256 values decode,
+        // and the bytes to charge are those of the delivered rows.
+        let (v, decoded, bytes) = gather_window(col(&t, "key"), 2, 0, &[3, 4, 700]).unwrap();
+        assert_eq!((decoded, bytes), (256, 3 * 8));
         let Vector::I64(v) = v else { panic!("i64") };
         assert_eq!(v, vec![2 * 2048 + 3, 2 * 2048 + 4, 2 * 2048 + 700]);
-        assert_eq!(stats.snapshot().output_bytes, 3 * 8, "charged for delivered rows");
     }
 
     #[test]
     fn unaligned_select_offset_is_a_typed_error() {
         let t = table();
-        let h = SegmentHandle::new(Arc::clone(&t), t.col_index("val"), 0, stats_handle());
         let mut sel = vec![false; 128];
-        let err =
-            h.try_select(&PushPred::Cmp { op: PredOp::Ge, lit: 0 }, 77, &mut sel).unwrap_err();
+        let pred = PushPred::Cmp { op: PredOp::Ge, lit: 0 };
+        let err = select_window(col(&t, "val"), 0, &pred, 77, &mut sel).unwrap_err();
         assert_eq!(err, Error::UnalignedRange { start: 77 });
+    }
+
+    #[test]
+    fn pushdown_selects_codes_and_gathers_survivors() {
+        let t = table();
+        let pred = Expr::col(0).eq(Expr::lit_i64(7));
+        let (out, profile, ledger) = filtered(&t, &["wide", "key"], pred.clone(), true);
+        let (reference, ..) = filtered(&t, &["wide", "key"], pred, false);
+        assert_eq!(out, reference, "pushdown must not change results");
+        assert!(out.col(0).as_i64().iter().all(|&w| w == 7) && !out.is_empty());
+        // The predicate ran in code space; both columns decoded only the
+        // blocks holding survivors, and delivered only the survivors.
+        let gathered = block_values(out.col(1).as_i64());
+        assert_eq!(profile.values_decoded, 2 * gathered);
+        assert_eq!(profile.values_skipped, 2 * ROWS as u64 - 2 * gathered);
+        assert!(profile.values_skipped > profile.values_decoded, "most blocks hold no survivor");
+        assert_eq!(ledger.output_bytes, out.len() as u64 * (8 + 8));
+    }
+
+    #[test]
+    fn unanswerable_pushdown_falls_back_to_decode() {
+        let t = table();
+        // key is PFOR-DELTA: its segments cannot answer in code space.
+        let (out, profile, ledger) =
+            filtered(&t, &["key"], Expr::col(0).ge(Expr::lit_i64(9990)), true);
+        assert_eq!(out.col(0).as_i64(), (9990..ROWS as i64).collect::<Vec<_>>());
+        // Every vector decoded the column in full, once.
+        assert_eq!((profile.values_decoded, profile.values_skipped), (ROWS as u64, 0));
+        assert_eq!(ledger.output_bytes, ROWS as u64 * 8);
+    }
+
+    #[test]
+    fn dead_batch_decodes_nothing() {
+        let t = table();
+        let (out, profile, ledger) =
+            filtered(&t, &["val", "key"], Expr::col(0).lt(Expr::lit_i32(0)), true);
+        assert!(out.is_empty());
+        assert_eq!(ledger.output_bytes, 0, "no survivor, no decode");
+        assert_eq!((profile.values_decoded, profile.values_skipped), (0, 2 * ROWS as u64));
+    }
+
+    #[test]
+    fn conjunct_split_pushes_each_side() {
+        let t = table();
+        // wide pushable; the val conjunct is arithmetic, so it decodes.
+        let pred = Expr::col(0)
+            .lt(Expr::lit_i64(500))
+            .and(Expr::col(1).add(Expr::lit_i32(1)).gt(Expr::lit_i32(3)));
+        let (out, profile, ledger) = filtered(&t, &["wide", "val", "key"], pred.clone(), true);
+        let (reference, ..) = filtered(&t, &["wide", "val", "key"], pred, false);
+        assert_eq!(out, reference);
+        // val decoded in full; wide and key only in survivor blocks.
+        let gathered = block_values(out.col(2).as_i64());
+        assert_eq!(profile.values_decoded, ROWS as u64 + 2 * gathered);
+        assert_eq!(ledger.output_bytes, ROWS as u64 * 4 + out.len() as u64 * (8 + 8));
+    }
+
+    #[test]
+    fn reversed_literal_and_inset_are_pushable() {
+        let (i, pp) = as_pushable(&Expr::lit_i64(5).lt(Expr::col(2))).expect("pushable");
+        assert_eq!(i, 2);
+        assert!(matches!(pp, PushPred::Cmp { op: PredOp::Gt, lit: 5 }));
+        let set: HashSet<u64> = [1u64, 2].into_iter().collect();
+        let (i, pp) = as_pushable(&Expr::col(0).in_set(set)).expect("pushable");
+        assert_eq!(i, 0);
+        assert!(matches!(pp, PushPred::InSet(_)));
+        // Float literals and arithmetic are not pushable.
+        assert!(as_pushable(&Expr::col(0).lt(Expr::lit_f64(1.0))).is_none());
+        assert!(as_pushable(&Expr::col(0).add(Expr::lit_i64(1)).lt(Expr::lit_i64(2))).is_none());
+    }
+
+    #[test]
+    fn column_free_conjuncts_fold_to_a_constant() {
+        let t = table();
+        for (live, rows) in [(true, ROWS), (false, 0)] {
+            let pred = Expr::col(0).ge(Expr::lit_i32(0)).and(Expr::lit_bool(live));
+            let (out, ..) = filtered(&t, &["val"], pred, true);
+            assert_eq!(out.len(), rows, "constant {live}");
+        }
     }
 }

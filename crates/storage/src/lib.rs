@@ -21,8 +21,9 @@
 //! compressed segment into a cache-resident vector. The *page-wise* mode
 //! (decompress a whole segment into RAM first, then read vectors from it)
 //! exists to reproduce the paper's Figure 7 / Table 3 comparison.
-//! [`Scan::into_plan`] pushes the caller's predicate down onto the scan
-//! and, given more than one thread, runs that fragment per segment on
+//! [`Scan::into_plan`] fuses the caller's predicate into the scan, which
+//! tests it over packed codes where it can (`lazy`), and, given more
+//! than one thread, runs that filtered scan per segment on
 //! workers whose output `scc_engine`'s `Exchange` puts back into exact
 //! serial order (§6 outlook; DESIGN.md §8).
 
@@ -31,7 +32,7 @@
 pub mod column;
 pub mod delta;
 pub mod disk;
-pub mod lazy;
+mod lazy;
 pub mod manifest;
 pub mod pool;
 pub mod scan;
@@ -43,7 +44,6 @@ pub use disk::{
     stats_handle, Disk, DiskHandle, DiskRead, FaultPlan, FaultyDisk, ReadOutcome, RetryPolicy,
     ScanSnapshot, ScanStats, StatsHandle,
 };
-pub use lazy::SegmentHandle;
 pub use manifest::{hash_partition, partition_name, partition_table, PartitionManifest};
 pub use pool::{pool_handle, BufferPool, ChunkId, PoolHandle};
 pub use scan::{DecompressionGranularity, Scan, ScanMode, ScanOptions};

@@ -19,30 +19,24 @@
 //! read, keeping the I/O accounting faithful to the paper's baseline.
 //!
 //! There is one scan type and one decode routine,
-//! `lazy::decode_window`. Codes are emitted only when a `Select` sits
-//! above the scan ([`Scan::into_plan`] with a predicate, `code_scan`
-//! on): a patched column then travels in the batch as a
-//! lazy [`SegmentHandle`] that `Select` tests in code space. Otherwise
-//! the scan decodes every column straight into its output vector and
-//! books the batch once: one clock pair, one decompress and one output
-//! charge. [`Scan::into_plan`] finishes the plan: the caller's predicate
-//! becomes a `Select` directly above the scan, and with `threads > 1`
-//! that scan-plus-select fragment runs once per claimed segment on
-//! worker threads behind an `Exchange` (§6 outlook). Every handle a scan
-//! holds is shared and thread-safe (the ledger is lock-free atomics,
-//! pool and fault disk are `Arc<Mutex<_>>` touched once per segment), so
-//! workers charge the same [`StatsHandle`] the serial scan would.
+//! `lazy::decode_window`, and batches always leave the scan decoded.
+//! Without a predicate the scan decodes every column and books the batch
+//! once. [`Scan::into_plan`] fuses the caller's predicate into the scan
+//! as a `lazy::Filter`, which tests patched columns in code space and
+//! decodes only survivors, and with `threads > 1` runs that filtered
+//! scan once per claimed segment on worker threads behind an
+//! `Exchange` (§6 outlook). Every handle a scan holds is shared and
+//! thread-safe (the ledger is lock-free atomics, pool and fault disk are
+//! `Arc<Mutex<_>>` touched once per segment), so workers charge the same
+//! [`StatsHandle`] the serial scan would.
 
 use crate::column::{Column, NumColumn};
 use crate::disk::{Disk, DiskHandle, ReadOutcome, RetryPolicy, StatsHandle};
-use crate::lazy::SegmentHandle;
+use crate::lazy::{decode_window, segment_is_compressed, Filter, Window};
 use crate::pool::{ChunkId, PoolHandle};
 use crate::table::{Layout, Table};
 use scc_core::Error;
-use scc_engine::{
-    Batch, CodeCol, Exchange, ExplainNode, Expr, LazyCol, OpProfile, Operator, Partition, Select,
-    Vector,
-};
+use scc_engine::{Batch, Exchange, ExplainNode, Expr, OpProfile, Operator, Partition, Vector};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -79,13 +73,12 @@ pub struct ScanOptions {
     pub disk: Disk,
     /// DSM or PAX I/O accounting.
     pub layout: Layout,
-    /// Emit patched-compressed columns as *lazy* code handles for a
-    /// `Select` above the scan ([`Scan::into_plan`] with a predicate):
-    /// `Select` then evaluates pushed-down predicates over the codes and
-    /// decompression happens only for surviving rows. `into_plan`
-    /// without a predicate, other modes, plain/LZRW1 segments, and
+    /// Let the predicate [`Scan::into_plan`] fuses into the scan test
+    /// patched-compressed columns over their codes and decode only
+    /// surviving rows. Off decodes every column and then tests values.
+    /// Scans without a predicate, other modes, plain/LZRW1 segments and
     /// vector sizes that are not a multiple of the 128-value block
-    /// decode eagerly.
+    /// decode eagerly either way.
     pub code_scan: bool,
 }
 
@@ -121,12 +114,10 @@ pub struct Scan {
     end: usize,
     cur_segment: Option<usize>,
     pages: Vec<Option<PageBuf>>,
-    /// Per-slot handle for the current segment (columns emitted as
-    /// codes only); rebuilt when the scan enters the next segment.
-    handles: Vec<Option<Arc<SegmentHandle>>>,
-    /// Whether `code_scan` columns leave as codes; [`Scan::into_plan`]
-    /// clears it when no `Select` will read them.
-    emit_codes: bool,
+    /// The predicate [`Scan::into_plan`] fused into the scan, and the
+    /// profile of the `Select` row it explains as.
+    filter: Option<Arc<Filter>>,
+    filter_profile: OpProfile,
     /// Reused LZRW1 page-decompression buffer for page-wise reads of
     /// `Lz` segments (patched segments never touch it).
     lz_scratch: Vec<u8>,
@@ -134,8 +125,8 @@ pub struct Scan {
     /// modeled disk with no per-chunk validation.
     faulty: Option<(DiskHandle, RetryPolicy)>,
     profile: OpProfile,
-    /// Open per-segment trace region: (segment, entered-at, values the
-    /// scan decoded or copied itself so far). A segment's span can only
+    /// Open per-segment trace region: (segment, entered-at, values
+    /// decoded or copied so far). A segment's span can only
     /// close when the scan *leaves* it — at the next segment's first
     /// vector, or at scan drop — so it is recorded after the fact rather
     /// than held as an RAII guard across `try_next` calls.
@@ -193,8 +184,8 @@ impl Scan {
             end: rows.end,
             cur_segment: None,
             pages: (0..n_cols).map(|_| None).collect(),
-            handles: (0..n_cols).map(|_| None).collect(),
-            emit_codes: true,
+            filter: None,
+            filter_profile: OpProfile::default(),
             lz_scratch: Vec::new(),
             faulty,
             profile: OpProfile::default(),
@@ -246,38 +237,30 @@ impl Scan {
             self.faulty.clone(),
             seg * seg_rows..((seg + 1) * seg_rows).min(self.end),
         );
-        scan.emit_codes = self.emit_codes;
+        scan.filter = self.filter.clone();
         scan
     }
 
     /// Finishes the plan over this (not yet pulled) scan; every caller
     /// that scans a table builds its plan here. `predicate`, when given,
-    /// becomes a `Select` directly above the scan, so it is evaluated
-    /// over codes wherever the scan emits them; without one nothing
-    /// reads codes, so the scan decodes eagerly. With `threads == 1`
-    /// that is the whole plan, on the calling thread. With more, the
-    /// same scan-plus-select runs once per segment on `threads` workers
-    /// (at most one per segment) that claim segments from a shared
-    /// counter and feed an [`Exchange`], which yields the exact serial
-    /// stream — same batches, same order, same first error — and reports
-    /// the workers' summed operator profiles beneath it.
+    /// is fused into the scan, which then emits only dense, decoded
+    /// survivors and explains as a `Select` over itself. With
+    /// `threads == 1` that is the whole plan, on the calling thread.
+    /// With more, the same filtered scan runs once per segment on
+    /// `threads` workers (at most one per segment) that claim segments
+    /// from a shared counter and feed an [`Exchange`], which yields the
+    /// exact serial stream — same batches, same order, same first error
+    /// — and reports the workers' summed operator profiles beneath it.
     pub fn into_plan(mut self, predicate: Option<Expr>, threads: usize) -> Box<dyn Operator> {
         assert!(threads >= 1, "a scan needs at least one thread");
-        self.emit_codes = predicate.is_some();
-        let plan_over = move |scan: Scan| -> Box<dyn Operator> {
-            match &predicate {
-                Some(p) => Box::new(Select::new(scan, p.clone())),
-                None => Box::new(scan),
-            }
-        };
+        self.filter = predicate.map(|p| Arc::new(Filter::new(&p)));
         if threads == 1 {
-            return plan_over(self);
+            return Box::new(self);
         }
         let seg_rows = self.table.seg_rows();
         let first_seg = self.pos / seg_rows;
         let n_parts = self.end.div_ceil(seg_rows).saturating_sub(first_seg);
         let template = Arc::new(self);
-        let plan_over = Arc::new(plan_over);
         let next_part = Arc::new(AtomicUsize::new(0));
         // If the building thread is inside a sampled trace, its context
         // travels to the workers so their per-segment spans land in the
@@ -288,7 +271,7 @@ impl Scan {
         let (tx, rx) = sync_channel::<Partition>(threads * 2);
         let workers = (0..threads.min(n_parts.max(1)))
             .map(|w| {
-                let (template, plan_over) = (Arc::clone(&template), Arc::clone(&plan_over));
+                let template = Arc::clone(&template);
                 let (next_part, tx) = (Arc::clone(&next_part), tx.clone());
                 std::thread::Builder::new()
                     .name(format!("scc-scan-{w}"))
@@ -299,9 +282,7 @@ impl Scan {
                             if part >= n_parts {
                                 break;
                             }
-                            let mut plan = plan_over(template.fragment(first_seg + part));
-                            // Neither a `Select` nor an eager scan emits
-                            // codes, so the batches arrive decoded.
+                            let mut plan = template.fragment(first_seg + part);
                             let result = std::iter::from_fn(|| plan.try_next().transpose())
                                 .collect::<Result<Vec<Batch>, Error>>();
                             let fragment = Some(plan.explain());
@@ -439,8 +420,8 @@ impl Scan {
 
     /// One vector of column `slot` from the plain representation
     /// (uncompressed scans) or out of a decompressed RAM page (page-wise
-    /// scans). Vector-wise compressed reads go through the segment's
-    /// [`SegmentHandle`] instead.
+    /// scans). Vector-wise compressed reads go through
+    /// `lazy::decode_window` instead.
     fn read_column_vector(
         &mut self,
         slot: usize,
@@ -508,7 +489,10 @@ impl NumColumn {
 }
 
 impl Scan {
-    fn produce(&mut self) -> Result<Option<Batch>, Error> {
+    /// Reads the next vector, charging the segment's I/O on entry. Every
+    /// column is decoded except, under a filter, one whose segment can
+    /// answer in code space: that one stays packed for the filter.
+    fn read(&mut self) -> Result<Option<Window>, Error> {
         if self.pos >= self.end {
             self.flush_segment_span();
             return Ok(None);
@@ -522,9 +506,6 @@ impl Scan {
             for p in &mut self.pages {
                 *p = None;
             }
-            for h in &mut self.handles {
-                *h = None;
-            }
             if scc_obs::trace::collecting() {
                 self.seg_trace = Some((seg, Instant::now(), 0));
             }
@@ -534,72 +515,74 @@ impl Scan {
         let take = self.opts.vector_size.min(seg_end - self.pos);
         let vector_wise = self.opts.mode == ScanMode::Compressed
             && self.opts.granularity == DecompressionGranularity::VectorWise;
-        // Whether a `Select` could test this scan's patched columns in
-        // code space: segment offsets stay 128-block aligned only when
-        // the vector size is a multiple of the block.
+        // Whether patched columns can be tested in code space: segment
+        // offsets stay 128-block aligned only when the vector size is a
+        // multiple of the block.
         let code_scan =
             self.opts.code_scan && self.opts.vector_size.is_multiple_of(scc_core::BLOCK);
-        let mut columns: Vec<Vector> = Vec::with_capacity(self.cols.len());
-        let mut lazy: Vec<Option<LazyCol>> = Vec::with_capacity(self.cols.len());
-        // Bytes decoded here, and how many of those columns a code scan
-        // could have left to its consumer.
+        let mut vectors = Vec::with_capacity(self.cols.len());
+        // Bytes decoded here, and how many of those columns a filter
+        // could have tested in code space.
         let (mut output_bytes, mut coded) = (0u64, 0u64);
         let t0 = Instant::now();
         for slot in 0..self.cols.len() {
             if !vector_wise {
-                columns.push(self.read_column_vector(slot, seg, offset, take));
-                lazy.push(None);
+                vectors.push(Some(self.read_column_vector(slot, seg, offset, take)));
                 continue;
             }
-            let c = self.cols[slot];
-            let col = &self.table.columns()[c].1;
-            let codes = code_scan && crate::lazy::segment_is_compressed(col, seg);
-            if codes && self.emit_codes {
-                let handle = self.handles[slot].get_or_insert_with(|| {
-                    Arc::new(SegmentHandle::new(
-                        Arc::clone(&self.table),
-                        c,
-                        seg,
-                        Arc::clone(&self.stats),
-                    ))
-                });
-                let lz = LazyCol::new(Arc::clone(handle) as Arc<dyn CodeCol>, offset, take);
-                columns.push(lz.placeholder());
-                lazy.push(Some(lz));
-            } else {
-                let (v, bytes) = crate::lazy::decode_window(col, seg, offset, take)?;
-                columns.push(v);
-                lazy.push(None);
-                output_bytes += bytes;
-                coded += codes as u64;
+            let col = &self.table.columns()[self.cols[slot]].1;
+            let codes = code_scan && segment_is_compressed(col, seg);
+            if codes && self.filter.is_some() {
+                vectors.push(None);
+                continue;
             }
+            let (v, bytes) = decode_window(col, seg, offset, take)?;
+            vectors.push(Some(v));
+            output_bytes += bytes;
+            coded += codes as u64;
         }
         if output_bytes > 0 {
             self.stats.charge_decompress(t0.elapsed());
             self.stats.charge_output(output_bytes);
         }
-        // What the consumer of a code scan would have booked on decoding.
+        // What a filter would have booked on decoding those columns.
         self.profile.values_decoded += take as u64 * coded;
         self.pos += take;
         if let Some(t) = &mut self.seg_trace {
-            t.2 += (take * lazy.iter().filter(|l| l.is_none()).count()) as u64;
+            t.2 += (take * vectors.iter().flatten().count()) as u64;
         }
-        Ok(Some(if lazy.iter().any(Option::is_some) {
-            Batch::with_lazy(columns, lazy)
-        } else {
-            Batch::new(columns)
-        }))
+        Ok(Some(Window { seg, offset, len: take, vectors }))
+    }
+
+    /// The next vector holding survivors of `filter`, dense and decoded.
+    fn next_filtered(&mut self, filter: &Filter) -> Result<Option<Batch>, Error> {
+        loop {
+            let start = scc_obs::clock();
+            let read = self.read();
+            let rows = read.as_ref().ok().and_then(|w| w.as_ref().map(|w| w.len));
+            self.profile.record_rows(start, rows);
+            let Some(w) = read? else {
+                return Ok(None);
+            };
+            let (out, decoded, skipped) = filter.apply(&self.table, &self.cols, w, &self.stats)?;
+            self.filter_profile.values_decoded += decoded;
+            self.filter_profile.values_skipped += skipped;
+            scc_obs::counter_add!("engine.select.values_decoded", decoded);
+            scc_obs::counter_add!("engine.select.values_skipped", skipped);
+            if let Some(t) = &mut self.seg_trace {
+                t.2 += decoded;
+            }
+            if out.is_some() {
+                return Ok(out);
+            }
+        }
     }
 
     /// Records the in-progress segment's trace span, if any: one
     /// `scan.segment` child per segment entered, tagged with the
-    /// bit-unpacking kernel class and the values decoded from it — by
-    /// this scan or, through its lazy columns, by whoever consumed its
-    /// batches before it moved on.
+    /// bit-unpacking kernel class and the values decoded from it.
     fn flush_segment_span(&mut self) {
-        if let Some((seg, entered, plain)) = self.seg_trace.take() {
-            let values =
-                plain + self.handles.iter().flatten().map(|h| h.values_decoded()).sum::<u64>();
+        if let Some((seg, entered, values)) = self.seg_trace.take() {
             scc_obs::trace::record_closed(
                 "scan.segment",
                 entered,
@@ -607,6 +590,12 @@ impl Scan {
                 Some(("kernel", scc_bitpack::kernel::active().name())),
             );
         }
+    }
+
+    fn scan_label(&self) -> String {
+        let cols: Vec<&str> =
+            self.cols.iter().map(|&c| self.table.columns()[c].0.as_str()).collect();
+        format!("Scan({}: {})", self.table.name, cols.join(", "))
     }
 }
 
@@ -621,23 +610,40 @@ impl Drop for Scan {
 impl Operator for Scan {
     fn try_next(&mut self) -> Result<Option<Batch>, Error> {
         let start = scc_obs::clock();
-        let out = self.produce();
-        self.profile.record(start, &out);
+        let Some(filter) = self.filter.clone() else {
+            // Collects in place: an unfiltered read decodes every column.
+            let decoded = |v: Option<Vector>| v.expect("unfiltered reads leave nothing packed");
+            let out = self
+                .read()
+                .map(|w| w.map(|w| Batch::new(w.vectors.into_iter().map(decoded).collect())));
+            self.profile.record(start, &out);
+            return out;
+        };
+        let out = self.next_filtered(&filter);
+        self.filter_profile.record(start, &out);
         out
     }
 
     fn label(&self) -> String {
-        let cols: Vec<&str> =
-            self.cols.iter().map(|&c| self.table.columns()[c].0.as_str()).collect();
-        format!("Scan({}: {})", self.table.name, cols.join(", "))
+        match self.filter {
+            Some(_) => "Select".into(),
+            None => self.scan_label(),
+        }
     }
 
     fn profile(&self) -> OpProfile {
-        self.profile
+        match self.filter {
+            Some(_) => self.filter_profile,
+            None => self.profile,
+        }
     }
 
     fn explain(&self) -> ExplainNode {
-        ExplainNode::leaf(self.label(), self.profile)
+        let scan = ExplainNode::leaf(self.scan_label(), self.profile);
+        match self.filter {
+            Some(_) => ExplainNode::new(self.label(), self.filter_profile, vec![scan]),
+            None => scan,
+        }
     }
 }
 
@@ -986,30 +992,27 @@ mod tests {
             .build();
         let run = |code_scan: bool| {
             let stats = stats_handle();
-            let scan = Scan::new(
+            // ~0.1% selectivity: most 128-value blocks hold no survivor,
+            // so the block-granular gather skips them outright.
+            let mut plan = Scan::new(
                 Arc::clone(&t),
                 &["a", "b"],
                 ScanOptions { vector_size: 1024, code_scan, ..Default::default() },
                 Arc::clone(&stats),
                 None,
-            );
-            // ~0.1% selectivity: most 128-value blocks hold no survivor,
-            // so the block-granular gather skips them outright.
-            let mut sel = scc_engine::Select::new(
-                scan,
-                scc_engine::Expr::col(0).eq(scc_engine::Expr::lit_i32(7)),
-            );
-            let out = collect(&mut sel);
+            )
+            .into_plan(Some(Expr::col(0).eq(Expr::lit_i32(7))), 1);
+            let out = collect(plan.as_mut());
             let s = stats.snapshot();
-            (out, s.output_bytes, sel.profile())
+            (out, s.output_bytes, plan.profile())
         };
         let (eager, eager_bytes, _) = run(false);
-        let (lazy, lazy_bytes, profile) = run(true);
-        assert_eq!(lazy, eager, "pushdown must not change results");
+        let (codes, codes_bytes, profile) = run(true);
+        assert_eq!(codes, eager, "pushdown must not change results");
         // The code scan decodes far fewer values.
         assert!(
-            lazy_bytes < eager_bytes / 2,
-            "code scan decoded {lazy_bytes} bytes vs eager {eager_bytes}"
+            codes_bytes < eager_bytes / 2,
+            "code scan decoded {codes_bytes} bytes vs eager {eager_bytes}"
         );
         assert!(profile.values_skipped > 0, "skipped counter records the win");
     }

@@ -24,6 +24,8 @@ fn mix(i: usize) -> usize {
     i.wrapping_mul(2654435761) >> 7
 }
 
+/// `seq` is sequential, so it compresses as PFOR-DELTA and never
+/// answers a predicate in code space.
 fn build_table() -> Arc<Table> {
     let key: Vec<i64> = (0..ROWS).map(|i| (mix(i) % 5000) as i64).collect();
     let val: Vec<i64> = (0..ROWS as i64).map(|i| i * i % 100_000).collect();
@@ -33,6 +35,7 @@ fn build_table() -> Arc<Table> {
         .add_i64("key", key)
         .add_i64("val", val)
         .add_str("flag", flag)
+        .add_i64("seq", (0..ROWS as i64).collect())
         .build()
 }
 
@@ -277,13 +280,18 @@ proptest! {
             .ge(Expr::lit_i64(lo))
             .and(Expr::col(0).lt(Expr::lit_i64(lo + width)))
             .and(Expr::col(1).lt(Expr::lit_i64(val_cut)))
-            .and(Expr::col(2).in_set(flag_b));
+            .and(Expr::col(2).in_set(flag_b))
+            .and(Expr::lit_i64(val_cut / 2).lt(Expr::col(1)))
+            .and(Expr::col(0).lt(Expr::col(1)))
+            .and(Expr::col(3).ge(Expr::lit_i64(lo)));
         // Recoverable faults: a 20-attempt budget always gets through,
         // so every shape scans every segment.
         let plan = FaultPlan { seed: fault_seed, bit_flip: 0.2, truncate: 0.05, transient_fail: 0.1 };
         let shape = |threads: usize, code_scan: bool| {
             let stats = stats_handle();
-            let mut p = scan(&table, ScanOptions { code_scan, ..Default::default() }, &stats)
+            let opts = ScanOptions { code_scan, ..Default::default() };
+            let cols = [COLS[0], COLS[1], COLS[2], "seq"];
+            let mut p = Scan::new(Arc::clone(&table), &cols, opts, Arc::clone(&stats), None)
                 .with_fault_injection(
                     faulty(plan),
                     RetryPolicy { max_attempts: 20, backoff_seconds: 0.001 },

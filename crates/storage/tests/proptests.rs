@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 fn collect_col0_i64(scan: &mut dyn Operator) -> Vec<i64> {
     let mut out = Vec::new();
-    while let Some(mut batch) = scan.next() {
-        batch.ensure_values().unwrap();
+    while let Some(batch) = scan.next() {
         out.extend_from_slice(batch.col(0).as_i64());
     }
     out
@@ -64,11 +63,7 @@ proptest! {
             Arc::clone(&stats),
             None,
         );
-        while let Some(mut batch) = scan.next() {
-            // Consume the values: an undrained code scan decodes nothing
-            // and would charge no output bytes.
-            batch.ensure_values().unwrap();
-        }
+        while scan.next().is_some() {}
         let s = stats.snapshot();
         // Exactly the column's compressed bytes are charged, once.
         prop_assert_eq!(s.io_bytes, table.col("x").compressed_bytes());
@@ -142,8 +137,7 @@ proptest! {
         );
         let dict = &table.str_col("s").dict;
         let mut row = 0usize;
-        while let Some(mut batch) = scan.next() {
-            batch.ensure_values().unwrap();
+        while let Some(batch) = scan.next() {
             for &code in batch.col(0).as_u32() {
                 prop_assert_eq!(&dict[code as usize], &values[row]);
                 row += 1;

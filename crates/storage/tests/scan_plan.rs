@@ -1,11 +1,10 @@
-//! What `Scan::into_plan` emits and books. Without a predicate nothing
-//! reads codes, so the scan decodes every column itself — serial or on
-//! workers — into batches equal to a code scan's decoded output, with
-//! the same ledger totals; with a predicate, `Select` above it still
-//! answers in code space.
+//! What `Scan::into_plan` emits and books. Without a predicate the scan
+//! decodes every column itself — serial or on workers — into batches
+//! equal to a bare scan's, with the same ledger totals; with one, the
+//! filter fused into the scan still answers in code space.
 
 use scc_engine::ops::try_collect;
-use scc_engine::{Batch, Expr, Operator};
+use scc_engine::Expr;
 use scc_obs::trace::{self, TraceConfig};
 use scc_storage::disk::stats_handle;
 use scc_storage::{Scan, ScanOptions, ScanSnapshot, StatsHandle, Table, TableBuilder};
@@ -43,24 +42,10 @@ fn counted(mut s: ScanSnapshot) -> ScanSnapshot {
     s
 }
 
-/// Pulls `plan` to exhaustion, checking no batch carries codes.
-fn drain_decoded(plan: &mut dyn Operator) -> Batch {
-    let mut out: Option<Batch> = None;
-    while let Some(batch) = plan.try_next().unwrap() {
-        assert!(!batch.has_lazy(), "an unfiltered plan emitted codes");
-        match &mut out {
-            None => out = Some(batch),
-            Some(acc) => acc.columns.iter_mut().zip(&batch.columns).for_each(|(a, b)| a.append(b)),
-        }
-    }
-    out.expect("rows")
-}
-
 #[test]
 fn unfiltered_plans_emit_decoded_batches_equal_to_the_code_scan() {
     let t = table();
-    // A bare scan still emits codes; collecting decodes them batch by
-    // batch through the column handles.
+    // A bare scan (code scans on, nothing to filter) is the reference.
     let code_stats = stats_handle();
     let mut bare = scan(&t, ScanOptions::default(), &code_stats);
     let reference = try_collect(&mut bare).unwrap();
@@ -69,7 +54,7 @@ fn unfiltered_plans_emit_decoded_batches_equal_to_the_code_scan() {
     for threads in [1, 2] {
         let stats = stats_handle();
         let mut plan = scan(&t, ScanOptions::default(), &stats).into_plan(None, threads);
-        assert_eq!(drain_decoded(plan.as_mut()), reference, "threads={threads}");
+        assert_eq!(try_collect(plan.as_mut()).unwrap(), reference, "threads={threads}");
         assert_eq!(counted(stats.snapshot()), counted(code_stats.snapshot()), "threads={threads}");
         decoded.push(plan.explain().values_totals());
     }
@@ -79,7 +64,7 @@ fn unfiltered_plans_emit_decoded_batches_equal_to_the_code_scan() {
     // With code scans off nothing is compressed-domain accounting.
     let off = ScanOptions { code_scan: false, ..Default::default() };
     let mut plan = scan(&t, off, &stats_handle()).into_plan(None, 1);
-    assert_eq!(drain_decoded(plan.as_mut()), reference);
+    assert_eq!(try_collect(plan.as_mut()).unwrap(), reference);
     assert_eq!(plan.explain().values_totals(), (0, 0));
 }
 
@@ -107,7 +92,7 @@ fn unfiltered_scan_books_every_decoded_value_once() {
     let rows = {
         let _root = trace::start_root("test.scan");
         let mut plan = scan(&t, ScanOptions::default(), &stats).into_plan(None, 1);
-        drain_decoded(plan.as_mut()).len()
+        try_collect(plan.as_mut()).unwrap().len()
     };
     trace::set_collect(false);
     assert_eq!(rows, ROWS);

@@ -96,9 +96,7 @@ fn main() {
                 vector_size: 1024,
                 disk: Disk::middle_end(),
                 layout: Layout::Dsm,
-                // This loop measures decompression RAM traffic, so the
-                // scan itself must decode (nothing consumes the values).
-                code_scan: false,
+                ..Default::default()
             },
             Arc::clone(&stats),
             None,

@@ -1,7 +1,7 @@
 //! Cross-crate integration: storage → engine pipelines over compressed
 //! tables, equality across every storage configuration.
 
-use scc::engine::{AggExpr, Expr, HashAggregate, Operator, Select};
+use scc::engine::{AggExpr, Expr, HashAggregate, Operator};
 use scc::storage::disk::stats_handle;
 use scc::storage::{
     BufferPool, Compression, DecompressionGranularity, Disk, Layout, Scan, ScanMode, ScanOptions,
@@ -23,9 +23,9 @@ fn build_table() -> Arc<Table> {
 
 fn total_amount_of_kind(table: &Arc<Table>, kind: &str, opts: ScanOptions) -> i64 {
     let stats = stats_handle();
-    let scan = Scan::new(Arc::clone(table), &["amount", "kind"], opts, stats, None);
     let code = table.str_col("kind").codes_matching(|s| s == kind);
-    let filtered = Select::new(scan, Expr::col(1).in_set(code));
+    let filtered = Scan::new(Arc::clone(table), &["amount", "kind"], opts, stats, None)
+        .into_plan(Some(Expr::col(1).in_set(code)), 1);
     let mut agg = HashAggregate::new(filtered, vec![], vec![AggExpr::Sum(Expr::col(0))]);
     let out = agg.next().expect("one global group");
     out.col(0).as_i64()[0]
