@@ -1,36 +1,70 @@
-//! Late materialization: the filter a scan runs over its packed codes.
+//! Late materialization: the filter a scan runs per vector, over packed
+//! codes or decoded values, whichever a fixed cost rule says is cheaper.
 //!
 //! Free functions over one (column, segment, window) reach the stored
-//! form directly: [`decode_window`] decodes rows into a fresh vector,
-//! [`select_window`] tests a pushed predicate against the packed codes
-//! without decoding, and [`gather_window`] decodes only the 128-value
-//! blocks that hold the requested rows. String columns expose their
-//! dictionary codes (predicates arrive pre-translated to code sets).
+//! form directly: [`decode_window`] decodes rows into a fresh vector and
+//! [`gather_window`] decodes only the 128-value blocks that hold the
+//! requested rows. String columns expose their dictionary codes
+//! (predicates arrive pre-translated to code sets).
 //!
 //! A [`Filter`] is the predicate `Scan::into_plan` fuses into the scan.
-//! Per vector, each `col OP literal` / `col IN set` conjunct is tested
-//! against the codes of a patched segment; every other conjunct decodes
-//! the columns it reads and is evaluated over those alone. Surviving
-//! rows are then decoded from the still-packed columns: nothing for a
-//! dead vector, everything for a fully passing one, touched blocks
-//! otherwise. The filter books what it decodes into the scan's
-//! [`ScanStats`] as it happens; chunk I/O was charged when the scan
-//! entered the segment, and skipping decode never skips that read.
+//! A `col OP literal` / `col IN set` conjunct is compiled into code space
+//! once per segment. In *value mode* the scan has decoded every column
+//! and such a conjunct is one typed loop over its column that ANDs into
+//! the mask. In *code mode* patched columns stay packed, the conjunct
+//! tests their codes, and survivors are decoded afterwards: nothing for
+//! a dead vector, everything for a fully passing one, touched blocks
+//! otherwise. Any other conjunct decodes the columns it reads. Testing a
+//! code costs more than decoding and testing a value (the compare
+//! kernels unpack, then band-test), so code mode pays only when enough
+//! blocks are dead to skip decoding other columns: [`Filter::code_mode`].
+//! A segment's first vector runs in value mode, so serial scans and
+//! per-segment workers choose alike. Decodes are booked into the scan's
+//! [`ScanStats`] as they happen; chunk I/O was charged on segment entry,
+//! and skipping decode never skips that read.
 
 use crate::column::{Column, ColumnStore, NumColumn, StoredSegment};
 use crate::disk::ScanStats;
 use crate::table::Table;
-use scc_core::{type_literal, Error, PredOp, TypedLit, Value, ValuePred, BLOCK};
+use scc_core::{type_literal, CodePredicate, Error, PredOp, TypedLit, Value, ValuePred, BLOCK};
 use scc_engine::ops::select::selected_rows;
 use scc_engine::{Batch, Expr, Vector};
 use std::collections::HashSet;
 use std::time::Instant;
 
+// The mode rule's per-value costs: ns at the benchmark's 4.2 GHz reference
+// clock, 2 vCPU AVX2 (EXPERIMENTS.md, "Codes or values, per vector").
+/// Decoding a value: the ladder's `core.decode_ns_per_value`.
+const DECODE: f64 = 0.16;
+/// Testing a packed code against a predicate compiled for its segment:
+/// the ladder's `core.select_ns_per_value`.
+const SELECT: f64 = 0.41;
+/// Testing a decoded `i32` in place: no rung times it, so the typed loop
+/// was timed beside the decode and select rungs' passes. `u32` and 64-bit
+/// compares cost up to 2.2 times as much; for them the rule leans to values.
+const TEST: f64 = 0.15;
+
+/// Calls `$f(store, wrap, args..)` on the value store of a scannable
+/// column, where `wrap` is enum `$ty`'s `I32`, `I64` or `U32` variant
+/// for the store's value type (string columns scan as `U32` codes).
+macro_rules! on_store {
+    ($col:expr, $ty:ident, $f:ident($($arg:expr),*)) => {
+        match $col {
+            Column::Num(NumColumn::I32(s)) => $f(s, $ty::I32, $($arg),*),
+            Column::Num(NumColumn::I64(s)) => $f(s, $ty::I64, $($arg),*),
+            Column::Num(NumColumn::U32(s)) => $f(s, $ty::U32, $($arg),*),
+            Column::Str(sc) => $f(&sc.codes, $ty::U32, $($arg),*),
+            Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
+        }
+    };
+}
+pub(crate) use on_store;
+
 /// A conjunct a segment may answer over its codes: one column compared
 /// against a literal in the `i64` carrier (exact for every integer
 /// type), or tested for membership in a set keyed like
-/// [`Vector::key_at`]. The literal is re-encoded into the column's value
-/// type and, when the segment's scheme allows, into code space.
+/// [`Vector::key_at`].
+#[derive(Clone)]
 enum PushPred {
     /// `column OP literal`.
     Cmp { op: PredOp, lit: i64 },
@@ -38,78 +72,109 @@ enum PushPred {
     InSet(HashSet<u64>),
 }
 
+/// A [`PushPred`] compiled over one segment's codes.
+#[derive(Clone)]
+enum Compiled {
+    I32(CodePredicate<i32>),
+    I64(CodePredicate<i64>),
+    U32(CodePredicate<u32>),
+}
+
 /// True when the stored form of `col`'s segment `seg` supports
 /// code-space selection (a patched-compressed segment; plain and
 /// LZRW1-page segments have no code representation to scan).
 pub(crate) fn segment_is_compressed(col: &Column, seg: usize) -> bool {
-    fn check<V: Value>(s: &ColumnStore<V>, seg: usize) -> bool {
+    fn check<V: Value>(s: &ColumnStore<V>, _: fn(Vec<V>) -> Vector, seg: usize) -> bool {
         matches!(s.segments[seg], StoredSegment::Compressed(..))
     }
-    match col {
-        Column::Num(NumColumn::I32(s)) => check(s, seg),
-        Column::Num(NumColumn::I64(s)) => check(s, seg),
-        Column::Num(NumColumn::U32(s)) => check(s, seg),
-        Column::Str(sc) => check(&sc.codes, seg),
-        Column::Blob(_) => false,
+    on_store!(col, Vector, check(seg))
+}
+
+/// Compiles `pred` for `col`'s segment `seg`; `None` when the segment
+/// cannot answer it in code space (delta coding, a wrapped window, plain
+/// or LZRW1 storage, or a literal outside the column type's domain,
+/// which planners fold away): decode and test the values instead.
+fn compile(col: &Column, seg: usize, pred: &PushPred) -> Option<Compiled> {
+    fn typed<V: Value>(
+        store: &ColumnStore<V>,
+        wrap: fn(CodePredicate<V>) -> Compiled,
+        seg: usize,
+        pred: &PushPred,
+    ) -> Option<Compiled> {
+        let vp = match pred {
+            PushPred::Cmp { op, lit } => match type_literal::<V>(*op, *lit) {
+                TypedLit::Lit(v) => ValuePred::Cmp { op: *op, lit: v },
+                TypedLit::AlwaysTrue | TypedLit::AlwaysFalse => return None,
+            },
+            PushPred::InSet(set) => ValuePred::InSet(set.clone()),
+        };
+        let StoredSegment::Compressed(s, _) = &store.segments[seg] else { return None };
+        s.compile_predicate(&vp).map(wrap)
+    }
+    on_store!(col, Compiled, typed(seg, pred))
+}
+
+impl Compiled {
+    /// Tests rows `[offset, offset + out.len())` of `col`'s segment
+    /// `seg`, the one this was compiled for, without decoding: `out`
+    /// receives exactly the rows a decode-then-test evaluation selects.
+    fn select(
+        &self,
+        col: &Column,
+        seg: usize,
+        offset: usize,
+        out: &mut [bool],
+    ) -> Result<(), Error> {
+        fn typed<V: Value>(
+            store: &ColumnStore<V>,
+            cp: &CodePredicate<V>,
+            seg: usize,
+            offset: usize,
+            out: &mut [bool],
+        ) -> Result<(), Error> {
+            let StoredSegment::Compressed(s, _) = &store.segments[seg] else {
+                unreachable!("compiled over a patched segment")
+            };
+            s.try_select_range(cp, offset, out)
+        }
+        match (self, col) {
+            (Compiled::I32(cp), Column::Num(NumColumn::I32(s))) => typed(s, cp, seg, offset, out),
+            (Compiled::I64(cp), Column::Num(NumColumn::I64(s))) => typed(s, cp, seg, offset, out),
+            (Compiled::U32(cp), Column::Num(NumColumn::U32(s))) => typed(s, cp, seg, offset, out),
+            (Compiled::U32(cp), Column::Str(sc)) => typed(&sc.codes, cp, seg, offset, out),
+            _ => unreachable!("compiled for this column"),
+        }
     }
 }
 
-/// Rows stored in segment `seg` (shorter for the tail segment).
-fn rows_in_segment<V: Value>(store: &ColumnStore<V>, seg: usize) -> usize {
-    store.seg_rows.min(store.len() - seg * store.seg_rows)
-}
-
-fn select_typed<V: Value>(
-    store: &ColumnStore<V>,
-    seg: usize,
-    pred: &PushPred,
-    offset: usize,
-    out: &mut [bool],
-) -> Result<bool, Error> {
-    let StoredSegment::Compressed(s, _) = &store.segments[seg] else {
-        return Ok(false);
-    };
-    let vp = match pred {
-        PushPred::Cmp { op, lit } => match type_literal::<V>(*op, *lit) {
-            TypedLit::Lit(v) => ValuePred::Cmp { op: *op, lit: v },
-            // Out-of-domain literal: constant outcome, no codes read.
-            TypedLit::AlwaysTrue => {
-                out.fill(true);
-                return Ok(true);
-            }
-            TypedLit::AlwaysFalse => {
-                out.fill(false);
-                return Ok(true);
-            }
-        },
-        PushPred::InSet(set) => ValuePred::InSet(set.clone()),
-    };
-    let Some(cp) = s.compile_predicate(&vp) else {
-        return Ok(false);
-    };
-    s.try_select_range(&cp, offset, out)?;
-    Ok(true)
-}
-
-/// Evaluates `pred` over rows `[offset, offset + out.len())` of `col`'s
-/// segment `seg` without decoding, writing the selection into `out`.
-/// `Ok(false)` means the segment cannot answer in code space (delta
-/// coding, a wrapped window, plain or LZRW1 storage): decode and test
-/// the values instead. `Ok(true)` means `out` holds exactly the rows a
-/// decode-then-test evaluation would select.
-fn select_window(
-    col: &Column,
-    seg: usize,
-    pred: &PushPred,
-    offset: usize,
-    out: &mut [bool],
-) -> Result<bool, Error> {
-    match col {
-        Column::Num(NumColumn::I32(s)) => select_typed(s, seg, pred, offset, out),
-        Column::Num(NumColumn::I64(s)) => select_typed(s, seg, pred, offset, out),
-        Column::Num(NumColumn::U32(s)) => select_typed(s, seg, pred, offset, out),
-        Column::Str(sc) => select_typed(&sc.codes, seg, pred, offset, out),
-        Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
+/// ANDs `pred` over the decoded column `v` into `mask`, in place: the
+/// literal typed like [`compile`] types it, then one loop per operator,
+/// so that each is a branch-free compare.
+fn and_values(pred: &PushPred, v: &Vector, mask: &mut [bool]) {
+    fn typed<V: Value>(pred: &PushPred, values: &[V], mask: &mut [bool]) {
+        fn and<V: Copy>(mask: &mut [bool], values: &[V], test: impl Fn(V) -> bool) {
+            mask.iter_mut().zip(values).for_each(|(m, &v)| *m &= test(v));
+        }
+        let (op, lit) = match pred {
+            PushPred::InSet(set) => return and(mask, values, |v| set.contains(&v.to_u64_lossy())),
+            PushPred::Cmp { op, lit } => (*op, type_literal::<V>(*op, *lit)),
+        };
+        match (op, lit) {
+            (_, TypedLit::AlwaysTrue) => {}
+            (_, TypedLit::AlwaysFalse) => mask.fill(false),
+            (PredOp::Eq, TypedLit::Lit(l)) => and(mask, values, |v| v == l),
+            (PredOp::Ne, TypedLit::Lit(l)) => and(mask, values, |v| v != l),
+            (PredOp::Lt, TypedLit::Lit(l)) => and(mask, values, |v| v < l),
+            (PredOp::Le, TypedLit::Lit(l)) => and(mask, values, |v| v <= l),
+            (PredOp::Gt, TypedLit::Lit(l)) => and(mask, values, |v| v > l),
+            (PredOp::Ge, TypedLit::Lit(l)) => and(mask, values, |v| v >= l),
+        }
+    }
+    match v {
+        Vector::I32(x) => typed(pred, x, mask),
+        Vector::I64(x) => typed(pred, x, mask),
+        Vector::U32(x) => typed(pred, x, mask),
+        other => unreachable!("a scan yields integer columns, not {:?}", other.col_type()),
     }
 }
 
@@ -124,49 +189,16 @@ pub(crate) fn decode_window(
 ) -> Result<(Vector, u64), Error> {
     fn typed<V: Value>(
         store: &ColumnStore<V>,
+        wrap: fn(Vec<V>) -> Vector,
         seg: usize,
         offset: usize,
         len: usize,
-        wrap: fn(Vec<V>) -> Vector,
     ) -> Result<(Vector, u64), Error> {
         let mut out = vec![V::default(); len];
         store.try_decode_segment_range(seg, offset, &mut out)?;
         Ok((wrap(out), (len * V::byte_width()) as u64))
     }
-    match col {
-        Column::Num(NumColumn::I32(s)) => typed(s, seg, offset, len, Vector::I32),
-        Column::Num(NumColumn::I64(s)) => typed(s, seg, offset, len, Vector::I64),
-        Column::Num(NumColumn::U32(s)) => typed(s, seg, offset, len, Vector::U32),
-        Column::Str(sc) => typed(&sc.codes, seg, offset, len, Vector::U32),
-        Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
-    }
-}
-
-fn gather_typed<V: Value>(
-    store: &ColumnStore<V>,
-    seg: usize,
-    offset: usize,
-    rows: &[usize],
-    wrap: fn(Vec<V>) -> Vector,
-) -> Result<(Vector, u64, u64), Error> {
-    let seg_len = rows_in_segment(store, seg);
-    let mut out = Vec::with_capacity(rows.len());
-    let mut buf = [V::default(); BLOCK];
-    let mut cur_block = usize::MAX;
-    let mut decoded = 0u64;
-    for &r in rows {
-        let pos = offset + r;
-        let blk = pos / BLOCK;
-        if blk != cur_block {
-            let blk_start = blk * BLOCK;
-            let blk_len = BLOCK.min(seg_len - blk_start);
-            store.try_decode_segment_range(seg, blk_start, &mut buf[..blk_len])?;
-            decoded += blk_len as u64;
-            cur_block = blk;
-        }
-        out.push(buf[pos % BLOCK]);
-    }
-    Ok((wrap(out), decoded, (rows.len() * V::byte_width()) as u64))
+    on_store!(col, Vector, typed(seg, offset, len))
 }
 
 /// Decodes only the rows at `rows` (ascending, relative to `offset`) of
@@ -179,13 +211,33 @@ fn gather_window(
     offset: usize,
     rows: &[usize],
 ) -> Result<(Vector, u64, u64), Error> {
-    match col {
-        Column::Num(NumColumn::I32(s)) => gather_typed(s, seg, offset, rows, Vector::I32),
-        Column::Num(NumColumn::I64(s)) => gather_typed(s, seg, offset, rows, Vector::I64),
-        Column::Num(NumColumn::U32(s)) => gather_typed(s, seg, offset, rows, Vector::U32),
-        Column::Str(sc) => gather_typed(&sc.codes, seg, offset, rows, Vector::U32),
-        Column::Blob(_) => unreachable!("blob columns cannot be scanned"),
+    fn typed<V: Value>(
+        store: &ColumnStore<V>,
+        wrap: fn(Vec<V>) -> Vector,
+        seg: usize,
+        offset: usize,
+        rows: &[usize],
+    ) -> Result<(Vector, u64, u64), Error> {
+        let seg_len = store.seg_rows.min(store.len() - seg * store.seg_rows);
+        let mut out = Vec::with_capacity(rows.len());
+        let mut buf = [V::default(); BLOCK];
+        let mut cur_block = usize::MAX;
+        let mut decoded = 0u64;
+        for &r in rows {
+            let pos = offset + r;
+            let blk = pos / BLOCK;
+            if blk != cur_block {
+                let blk_start = blk * BLOCK;
+                let blk_len = BLOCK.min(seg_len - blk_start);
+                store.try_decode_segment_range(seg, blk_start, &mut buf[..blk_len])?;
+                decoded += blk_len as u64;
+                cur_block = blk;
+            }
+            out.push(buf[pos % BLOCK]);
+        }
+        Ok((wrap(out), decoded, (rows.len() * V::byte_width()) as u64))
     }
+    on_store!(col, Vector, typed(seg, offset, rows))
 }
 
 /// Flattens an `And` tree into its conjuncts (any other node is a
@@ -249,9 +301,12 @@ fn as_pushable(e: &Expr) -> Option<(usize, PushPred)> {
 }
 
 /// One conjunct of a [`Filter`].
+#[derive(Clone)]
 struct Conjunct {
-    /// The column and literal a patched segment may test in code space.
+    /// The column and literal of a pushable conjunct, and their test
+    /// compiled for the segment the scan is in.
     push: Option<(usize, PushPred)>,
+    compiled: Option<Compiled>,
     /// The scan columns the conjunct reads.
     cols: Vec<usize>,
     /// The conjunct with column `cols[i]` renumbered to `i`.
@@ -259,11 +314,17 @@ struct Conjunct {
 }
 
 /// A predicate over a scan's output columns, compiled for the scan to
-/// run per vector (see the module docs).
+/// run per vector (see the module docs). Each scan owns one.
+#[derive(Clone)]
 pub(crate) struct Filter {
     /// The outcome of the conjuncts that read no column.
     constant: bool,
     conjuncts: Vec<Conjunct>,
+    /// In the segment the scan is in: the packed columns code mode can
+    /// skip, and the conjuncts it answers over codes.
+    packed: usize,
+    pushed: usize,
+    code_mode: bool,
 }
 
 /// One vector a scan read: rows `[offset, offset + len)` of segment
@@ -294,10 +355,39 @@ impl Filter {
                 let one_row = Batch::new(vec![Vector::Mask(vec![true])]);
                 constant &= expr.eval(&one_row).as_mask()[0];
             } else {
-                conjuncts.push(Conjunct { push: as_pushable(part), cols, expr });
+                let push = as_pushable(part);
+                conjuncts.push(Conjunct { push, compiled: None, cols, expr });
             }
         }
-        Self { constant, conjuncts }
+        Self { constant, conjuncts, packed: 0, pushed: 0, code_mode: false }
+    }
+
+    /// Enters segment `seg` of a scan of `table`'s columns `cols`:
+    /// compiles the pushable conjuncts for it and runs its first vector
+    /// in value mode.
+    pub(crate) fn enter(&mut self, table: &Table, cols: &[usize], seg: usize) {
+        let column = |slot: usize| &table.columns()[cols[slot]].1;
+        for c in &mut self.conjuncts {
+            c.compiled = c.push.as_ref().and_then(|(slot, pred)| compile(column(*slot), seg, pred));
+        }
+        // A column a conjunct decodes in code mode is never skipped.
+        let decodes =
+            |s| self.conjuncts.iter().any(|c| c.compiled.is_none() && c.cols.contains(&s));
+        self.packed = (0..cols.len())
+            .filter(|&s| segment_is_compressed(column(s), seg) && !decodes(s))
+            .count();
+        self.pushed = self.conjuncts.iter().filter(|c| c.compiled.is_some()).count();
+        self.code_mode = false;
+    }
+
+    /// Whether the scan leaves patched columns packed for the next
+    /// vector. After each vector the filter applies the fixed rule
+    /// `dead × packed × DECODE > pushed × (SELECT − TEST)`: code mode
+    /// skips decoding the `packed` columns in the 128-blocks the mask
+    /// left dead (`dead`, a fraction of its blocks), and tests `pushed`
+    /// conjuncts over codes instead of values.
+    pub(crate) fn code_mode(&self) -> bool {
+        self.code_mode
     }
 
     /// Filters one window of a scan of `table`'s columns `cols`, booking
@@ -305,7 +395,7 @@ impl Filter {
     /// Returns the dense survivors (`None` when no row passed) and the
     /// values decoded and skipped.
     pub(crate) fn apply(
-        &self,
+        &mut self,
         table: &Table,
         cols: &[usize],
         w: Window,
@@ -325,15 +415,24 @@ impl Filter {
         };
         let (mut decoded, mut skipped) = (0u64, 0u64);
         let mut mask = vec![self.constant; n];
-        let mut sel = vec![false; n];
+        let mut sel = Vec::new();
         for c in &self.conjuncts {
             if let Some((slot, pred)) = &c.push {
-                if vectors[*slot].is_none()
-                    && select_window(column(*slot), seg, pred, offset, &mut sel)?
-                {
-                    mask.iter_mut().zip(&sel).for_each(|(m, s)| *m &= *s);
-                    continue;
+                match (&vectors[*slot], &c.compiled) {
+                    (Some(v), _) => and_values(pred, v, &mut mask),
+                    (None, Some(compiled)) => {
+                        sel.resize(n, false);
+                        compiled.select(column(*slot), seg, offset, &mut sel)?;
+                        mask.iter_mut().zip(&sel).for_each(|(m, s)| *m &= *s);
+                    }
+                    (None, None) => {
+                        decoded += n as u64;
+                        let v = decode(*slot)?;
+                        and_values(pred, &v, &mut mask);
+                        vectors[*slot] = Some(v);
+                    }
                 }
+                continue;
             }
             // Decode what the conjunct reads, evaluate it over those
             // columns alone, and put them back.
@@ -353,6 +452,11 @@ impl Filter {
                 vectors[slot] = Some(v);
             }
         }
+        // A branch-free OR per block: most blocks hold a survivor.
+        let blocks = mask.chunks(BLOCK);
+        let dead = blocks.clone().filter(|b| !b.iter().fold(false, |a, &m| a | m)).count();
+        let dead = dead as f64 / blocks.len() as f64;
+        self.code_mode = dead * self.packed as f64 * DECODE > self.pushed as f64 * (SELECT - TEST);
         let rows = selected_rows(&mask);
         if rows.is_empty() {
             skipped = n as u64 * vectors.iter().filter(|v| v.is_none()).count() as u64;
@@ -388,22 +492,27 @@ mod tests {
     use crate::scan::{Scan, ScanOptions};
     use crate::table::TableBuilder;
     use scc_engine::ops::collect;
-    use scc_engine::{OpProfile, Operator};
+    use scc_engine::{ExplainNode, Operator};
     use std::sync::Arc;
 
     const ROWS: usize = 10_000;
+    const SEG_ROWS: usize = 2048;
+
+    fn mix(i: usize) -> usize {
+        i.wrapping_mul(2654435761) >> 7
+    }
 
     fn table() -> Arc<Table> {
         // Value orders are scrambled so the analyzer picks PFOR; the
-        // sequential `key` compresses as PFOR-DELTA, which never answers
-        // predicates in code space.
-        let mix = |i: usize| i.wrapping_mul(2654435761) >> 7;
+        // sequential `key` (the row id) compresses as PFOR-DELTA, which
+        // never answers predicates in code space.
         TableBuilder::new("lz")
-            .seg_rows(2048)
+            .seg_rows(SEG_ROWS)
             .add_i64("key", (0..ROWS as i64).collect())
             .add_i32("val", (0..ROWS).map(|i| (mix(i) % 97) as i32).collect())
             .add_str("flag", (0..ROWS).map(|i| ["A", "B", "C"][mix(i) % 3].to_string()).collect())
             .add_i64("wide", (0..ROWS).map(|i| (mix(i + 77) % 1000) as i64).collect())
+            .add_i64("pay", (0..ROWS).map(|i| (mix(i + 5) % 10_000) as i64).collect())
             .build()
     }
 
@@ -411,27 +520,66 @@ mod tests {
         &t.columns()[t.col_index(name)].1
     }
 
-    /// `pred` over `cols` through a filtered scan: the output, the
-    /// `Select` row's profile and the ledger.
+    /// `pred` over rows `[offset, ..)` of `col`'s segment `seg`, over
+    /// codes; `Ok(false)` when the segment cannot answer it there.
+    fn select_window(
+        col: &Column,
+        seg: usize,
+        pred: &PushPred,
+        offset: usize,
+        out: &mut [bool],
+    ) -> Result<bool, Error> {
+        let Some(compiled) = compile(col, seg, pred) else { return Ok(false) };
+        compiled.select(col, seg, offset, out).map(|()| true)
+    }
+
+    /// `pred` over `cols` through a filtered scan in 128-row vectors, so
+    /// one vector is one block: the output, the plan's explain tree
+    /// (`Select` over `Scan`) and the ledger.
     fn filtered(
         t: &Arc<Table>,
         cols: &[&str],
         pred: Expr,
         code_scan: bool,
-    ) -> (Batch, OpProfile, ScanSnapshot) {
-        let stats = stats_handle();
-        let opts = ScanOptions { code_scan, ..Default::default() };
-        let mut plan =
-            Scan::new(Arc::clone(t), cols, opts, Arc::clone(&stats), None).into_plan(Some(pred), 1);
-        let out = collect(plan.as_mut());
-        (out, plan.profile(), stats.snapshot())
+    ) -> (Batch, ExplainNode, ScanSnapshot) {
+        plan(t, cols, pred, ScanOptions { code_scan, vector_size: BLOCK, ..Default::default() })
     }
 
-    /// Values a block-granular gather of the table rows `rows` decodes.
-    fn block_values(rows: &[i64]) -> u64 {
-        let mut blocks: Vec<usize> = rows.iter().map(|&r| r as usize / BLOCK).collect();
-        blocks.dedup();
-        blocks.iter().map(|b| BLOCK.min(ROWS - b * BLOCK) as u64).sum()
+    /// [`filtered`] under any scan options.
+    fn plan(
+        t: &Arc<Table>,
+        cols: &[&str],
+        pred: Expr,
+        opts: ScanOptions,
+    ) -> (Batch, ExplainNode, ScanSnapshot) {
+        let stats = stats_handle();
+        let mut p =
+            Scan::new(Arc::clone(t), cols, opts, Arc::clone(&stats), None).into_plan(Some(pred), 1);
+        let out = collect(p.as_mut());
+        (out, p.explain(), stats.snapshot())
+    }
+
+    fn decoded_skipped(node: &ExplainNode) -> (u64, u64) {
+        (node.profile.values_decoded, node.profile.values_skipped)
+    }
+
+    /// For a scan of [`table`] in 128-row vectors whose rule tips on one
+    /// dead vector, when exactly the table rows `survivors` pass: the
+    /// rows of its code-mode vectors that hold a survivor, the rows of
+    /// its dead code-mode vectors, and the survivors among the former.
+    /// Every vector runs in code mode except a segment's first and one
+    /// right after a vector with a survivor.
+    fn code_mode_rows(survivors: &[i64]) -> (u64, u64, u64) {
+        let vector = |row: i64| row as usize / BLOCK;
+        let live: HashSet<usize> = survivors.iter().map(|&r| vector(r)).collect();
+        let code = |v: usize| !(v * BLOCK).is_multiple_of(SEG_ROWS) && !live.contains(&(v - 1));
+        let (mut live_rows, mut dead_rows) = (0, 0);
+        for v in (0..ROWS.div_ceil(BLOCK)).filter(|&v| code(v)) {
+            let len = BLOCK.min(ROWS - v * BLOCK) as u64;
+            *if live.contains(&v) { &mut live_rows } else { &mut dead_rows } += len;
+        }
+        let gathered = survivors.iter().filter(|&&r| code(vector(r))).count() as u64;
+        (live_rows, dead_rows, gathered)
     }
 
     #[test]
@@ -451,18 +599,23 @@ mod tests {
     #[test]
     fn out_of_domain_literal_short_circuits() {
         let t = table();
+        let cmp = |op, lit| PushPred::Cmp { op, lit };
+        let in_place = |name: &str, pred: PushPred| {
+            let (v, _) = decode_window(col(&t, name), 0, 0, 256).unwrap();
+            // The outcome is constant, so no code space is compiled.
+            assert!(!select_window(col(&t, name), 0, &pred, 0, &mut [false; 256]).unwrap());
+            let mut mask = vec![true; 256];
+            and_values(&pred, &v, &mut mask);
+            mask
+        };
         // val is i32; an i64 literal beyond i32::MAX can never match Eq
         // and always matches Lt.
-        let mut sel = vec![true; 256];
-        let cmp = |op, lit| PushPred::Cmp { op, lit };
-        assert!(select_window(col(&t, "val"), 0, &cmp(PredOp::Eq, i64::MAX), 0, &mut sel).unwrap());
-        assert!(sel.iter().all(|&s| !s));
-        assert!(select_window(col(&t, "val"), 0, &cmp(PredOp::Lt, i64::MAX), 0, &mut sel).unwrap());
-        assert!(sel.iter().all(|&s| s));
+        assert!(in_place("val", cmp(PredOp::Eq, i64::MAX)).iter().all(|&s| !s));
+        assert!(in_place("val", cmp(PredOp::Lt, i64::MAX)).iter().all(|&s| s));
         // Negative literal against unsigned dictionary codes: Ge is
         // always true, Eq always false.
-        assert!(select_window(col(&t, "flag"), 0, &cmp(PredOp::Ge, -1), 0, &mut sel).unwrap());
-        assert!(sel.iter().all(|&s| s));
+        assert!(in_place("flag", cmp(PredOp::Ge, -1)).iter().all(|&s| s));
+        assert!(in_place("flag", cmp(PredOp::Eq, -1)).iter().all(|&s| !s));
     }
 
     #[test]
@@ -477,6 +630,95 @@ mod tests {
         let b = t.str_col("flag").code_of("B").unwrap();
         for (&s, &v) in sel.iter().zip(&vals) {
             assert_eq!(s, v == b);
+        }
+    }
+
+    #[test]
+    fn in_place_test_matches_expr_evaluation() {
+        // One segment per value type, values straddling zero where the
+        // type allows it.
+        let n = 1024;
+        let signed = |i: usize| (mix(i) % 200) as i64 - 100;
+        let t = TableBuilder::new("typed")
+            .seg_rows(n)
+            .add_i32("i32", (0..n).map(|i| signed(i) as i32).collect())
+            .add_i64("i64", (0..n).map(signed).collect())
+            .add_u32("u32", (0..n).map(|i| (mix(i) % 200) as u32).collect())
+            .build();
+        let compare = |op, a: Expr, b: Expr| match op {
+            PredOp::Eq => a.eq(b),
+            PredOp::Ne => a.ne(b),
+            PredOp::Lt => a.lt(b),
+            PredOp::Le => a.le(b),
+            PredOp::Gt => a.gt(b),
+            PredOp::Ge => a.ge(b),
+        };
+        let before: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
+        // The in-place test ANDs into `before`; over codes it writes the
+        // selection itself.
+        let check = |column: &Column, v: &Vector, e: &Expr, want: &[bool], what: &str| {
+            let (slot, pred) = as_pushable(e).expect("pushable");
+            assert_eq!(slot, 0);
+            let mut mask = before.clone();
+            and_values(&pred, v, &mut mask);
+            let anded: Vec<bool> = before.iter().zip(want).map(|(b, w)| b & w).collect();
+            assert_eq!(mask, anded, "{what}: values");
+            let mut sel = vec![false; n];
+            if select_window(column, 0, &pred, 0, &mut sel).unwrap() {
+                assert_eq!(sel, want, "{what}: codes");
+            }
+        };
+        let lits = [
+            i64::MIN,
+            i32::MIN as i64 - 1,
+            -101,
+            -100,
+            -1,
+            0,
+            37,
+            99,
+            199,
+            200,
+            u32::MAX as i64 + 1,
+            i64::MAX,
+        ];
+        for name in ["i32", "i64", "u32"] {
+            let column = col(&t, name);
+            let (v, _) = decode_window(column, 0, 0, n).unwrap();
+            // Widened to i64, every literal compares exactly.
+            let widened = Batch::new(vec![Vector::I64(match &v {
+                Vector::I32(x) => x.iter().map(|&y| y as i64).collect(),
+                Vector::I64(x) => x.clone(),
+                Vector::U32(x) => x.iter().map(|&y| y as i64).collect(),
+                other => panic!("{other:?}"),
+            })]);
+            let own = Batch::new(vec![v.clone()]);
+            // The literal as the column's own type, when it has one.
+            let typed = |lit: i64| match &v {
+                Vector::I32(_) => i32::try_from(lit).ok().map(Expr::lit_i32),
+                Vector::I64(_) => Some(Expr::lit_i64(lit)),
+                _ => u32::try_from(lit).ok().map(Expr::lit_u32),
+            };
+            for op in PredOp::ALL {
+                for lit in lits {
+                    for lit_first in [false, true] {
+                        let build = |l: Expr| match lit_first {
+                            false => compare(op, Expr::col(0), l),
+                            true => compare(op, l, Expr::col(0)),
+                        };
+                        let e = build(Expr::lit_i64(lit));
+                        let want = e.eval(&widened).as_mask().to_vec();
+                        if let Some(l) = typed(lit) {
+                            assert_eq!(build(l).eval(&own).as_mask(), &want[..], "{name} {lit}");
+                        }
+                        let what = format!("{name} {op:?} {lit} lit_first={lit_first}");
+                        check(column, &v, &e, &want, &what);
+                    }
+                }
+            }
+            let keys = [v.key_at(0), v.key_at(5), (-5i64) as u64, (-5i32) as u32 as u64, 12_345];
+            let e = Expr::col(0).in_set(keys.into_iter().collect());
+            check(column, &v, &e, e.eval(&own).as_mask(), &format!("{name} in set"));
         }
     }
 
@@ -503,56 +745,137 @@ mod tests {
     #[test]
     fn pushdown_selects_codes_and_gathers_survivors() {
         let t = table();
+        let cols = ["wide", "key", "val", "flag", "pay"];
         let pred = Expr::col(0).eq(Expr::lit_i64(7));
-        let (out, profile, ledger) = filtered(&t, &["wide", "key"], pred.clone(), true);
-        let (reference, ..) = filtered(&t, &["wide", "key"], pred, false);
+        let (out, explain, ledger) = filtered(&t, &cols, pred.clone(), true);
+        let (reference, ..) = filtered(&t, &cols, pred, false);
         assert_eq!(out, reference, "pushdown must not change results");
         assert!(out.col(0).as_i64().iter().all(|&w| w == 7) && !out.is_empty());
-        // The predicate ran in code space; both columns decoded only the
-        // blocks holding survivors, and delivered only the survivors.
-        let gathered = block_values(out.col(1).as_i64());
-        assert_eq!(profile.values_decoded, 2 * gathered);
-        assert_eq!(profile.values_skipped, 2 * ROWS as u64 - 2 * gathered);
-        assert!(profile.values_skipped > profile.values_decoded, "most blocks hold no survivor");
-        assert_eq!(ledger.output_bytes, out.len() as u64 * (8 + 8));
+        // Code-mode vectors tested wide's codes and decoded, in all five
+        // columns, only the blocks holding survivors, delivering only
+        // the survivors; the scan decoded every other vector whole.
+        let (live, dead, gathered) = code_mode_rows(out.col(1).as_i64());
+        assert_eq!(decoded_skipped(&explain), (5 * live, 5 * dead));
+        let value_rows = ROWS as u64 - live - dead;
+        assert_eq!(decoded_skipped(&explain.children[0]), (5 * value_rows, 0));
+        assert!(dead > value_rows, "most vectors skip");
+        assert_eq!(ledger.output_bytes, (value_rows + gathered) * (8 + 8 + 4 + 4 + 8));
     }
 
     #[test]
     fn unanswerable_pushdown_falls_back_to_decode() {
         let t = table();
-        // key is PFOR-DELTA: its segments cannot answer in code space.
-        let (out, profile, ledger) =
+        // key is PFOR-DELTA: its segments cannot answer in code space,
+        // so code mode would skip nothing and never runs.
+        let (out, explain, ledger) =
             filtered(&t, &["key"], Expr::col(0).ge(Expr::lit_i64(9990)), true);
         assert_eq!(out.col(0).as_i64(), (9990..ROWS as i64).collect::<Vec<_>>());
-        // Every vector decoded the column in full, once.
-        assert_eq!((profile.values_decoded, profile.values_skipped), (ROWS as u64, 0));
+        // The scan decoded the column in full, once.
+        assert_eq!(decoded_skipped(&explain), (0, 0));
+        assert_eq!(explain.values_totals(), (ROWS as u64, 0));
         assert_eq!(ledger.output_bytes, ROWS as u64 * 8);
     }
 
     #[test]
     fn dead_batch_decodes_nothing() {
         let t = table();
-        let (out, profile, ledger) =
+        let (out, explain, ledger) =
             filtered(&t, &["val", "key"], Expr::col(0).lt(Expr::lit_i32(0)), true);
         assert!(out.is_empty());
-        assert_eq!(ledger.output_bytes, 0, "no survivor, no decode");
-        assert_eq!((profile.values_decoded, profile.values_skipped), (0, 2 * ROWS as u64));
+        // `val < 0` is constant over every code window, so testing it
+        // costs nothing in code mode: after each segment's first vector
+        // every vector is dropped undecoded.
+        let (live, dead, _) = code_mode_rows(&[]);
+        assert_eq!((live, dead), (0, (ROWS - 5 * BLOCK) as u64));
+        assert_eq!(decoded_skipped(&explain), (0, 2 * dead));
+        assert_eq!(ledger.output_bytes, (ROWS as u64 - dead) * (4 + 8), "no survivor, no decode");
     }
 
     #[test]
     fn conjunct_split_pushes_each_side() {
         let t = table();
         // wide pushable; the val conjunct is arithmetic, so it decodes.
+        let cols = ["wide", "val", "key", "flag", "pay"];
         let pred = Expr::col(0)
-            .lt(Expr::lit_i64(500))
+            .eq(Expr::lit_i64(7))
             .and(Expr::col(1).add(Expr::lit_i32(1)).gt(Expr::lit_i32(3)));
-        let (out, profile, ledger) = filtered(&t, &["wide", "val", "key"], pred.clone(), true);
-        let (reference, ..) = filtered(&t, &["wide", "val", "key"], pred, false);
+        let (out, explain, ledger) = filtered(&t, &cols, pred.clone(), true);
+        let (reference, ..) = filtered(&t, &cols, pred, false);
         assert_eq!(out, reference);
-        // val decoded in full; wide and key only in survivor blocks.
-        let gathered = block_values(out.col(2).as_i64());
-        assert_eq!(profile.values_decoded, ROWS as u64 + 2 * gathered);
-        assert_eq!(ledger.output_bytes, ROWS as u64 * 4 + out.len() as u64 * (8 + 8));
+        // In code mode val decoded in full; wide, key, flag and pay only
+        // in survivor blocks.
+        let (live, dead, gathered) = code_mode_rows(out.col(2).as_i64());
+        assert_eq!(decoded_skipped(&explain), (live + dead + 4 * live, 4 * dead));
+        let value_rows = ROWS as u64 - live - dead;
+        let bytes = value_rows * 32 + (live + dead) * 4 + gathered * (8 + 8 + 4 + 8);
+        assert_eq!(ledger.output_bytes, bytes);
+    }
+
+    #[test]
+    fn uniform_q6_shaped_predicate_stays_in_value_mode() {
+        // Q6's shape: five conjuncts over three of four columns pass ~2 %
+        // of the rows, at random. A few 128-blocks die, but skipping them
+        // never pays for testing five conjuncts over codes.
+        let hash = |i: usize, k: u64| {
+            let x = (i as u64 ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (x ^ (x >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 32
+        };
+        let column = |k: u64, m: u64| (0..ROWS).map(|i| (hash(i, k) % m) as i64).collect();
+        let t = TableBuilder::new("q6")
+            .seg_rows(SEG_ROWS)
+            .add_i32("ship", (0..ROWS).map(|i| (hash(i, 1) % 2526) as i32).collect())
+            .add_i64("disc", column(2, 11))
+            .add_i64("qty", column(3, 50))
+            .add_i64("price", column(4, 100_000))
+            .build();
+        let pred = Expr::col(0)
+            .ge(Expr::lit_i32(730))
+            .and(Expr::col(0).lt(Expr::lit_i32(1095)))
+            .and(Expr::col(1).ge(Expr::lit_i64(5)))
+            .and(Expr::col(1).le(Expr::lit_i64(7)))
+            .and(Expr::col(2).lt(Expr::lit_i64(24)));
+        let cols = ["ship", "disc", "qty", "price"];
+        let opts = |code_scan| ScanOptions { code_scan, ..Default::default() };
+        let (out, explain, _) = plan(&t, &cols, pred.clone(), opts(true));
+        let (reference, ..) = plan(&t, &cols, pred, opts(false));
+        assert_eq!(out, reference);
+        assert!(!out.is_empty() && out.len() < ROWS / 20, "{} rows", out.len());
+        assert_eq!(decoded_skipped(&explain), (0, 0), "no vector ran in code mode");
+        assert_eq!(explain.values_totals(), (4 * ROWS as u64, 0));
+    }
+
+    #[test]
+    fn clustered_selective_predicate_switches_modes() {
+        // Two segments of eight 1024-row vectors. `clu < 100` holds in
+        // every row of each segment's vectors 3 and 4 and in no other.
+        const SEG: usize = 8 * 1024;
+        let clu = |i: usize| match i % SEG / 1024 {
+            3 | 4 => (mix(i) % 100) as i64,
+            _ => (100 + mix(i) % 9900) as i64,
+        };
+        let mut builder = TableBuilder::new("clustered")
+            .seg_rows(SEG)
+            .add_i64("clu", (0..2 * SEG).map(clu).collect());
+        let payload = ["a", "b", "c", "d", "e"];
+        for (k, name) in payload.into_iter().enumerate() {
+            let values = (0..2 * SEG).map(|i| (mix(i + 31 * k) % 1000) as i64).collect();
+            builder = builder.add_i64(name, values);
+        }
+        let t = builder.build();
+        let run = |code_scan| {
+            let cols = ["clu", "a", "b", "c", "d", "e"];
+            let pred = Expr::col(0).lt(Expr::lit_i64(100));
+            plan(&t, &cols, pred, ScanOptions { code_scan, ..Default::default() })
+        };
+        let (out, explain, _) = run(true);
+        assert_eq!(out, run(false).0);
+        assert_eq!(out.len(), 2 * 2 * 1024);
+        // Per segment: vector 0 runs in value mode; 1-3 in code mode (1
+        // and 2 skipped, 3 passing whole and decoded); 4 and 5 in value
+        // mode after a dense vector; 6 and 7 in code mode again, skipped.
+        let vector = 6 * 1024;
+        assert_eq!(decoded_skipped(&explain), (2 * vector, 2 * 4 * vector));
+        assert_eq!(decoded_skipped(&explain.children[0]), (2 * 3 * vector, 0));
     }
 
     #[test]

@@ -22,21 +22,22 @@
 //! `lazy::decode_window`, and batches always leave the scan decoded.
 //! Without a predicate the scan decodes every column and books the batch
 //! once. [`Scan::into_plan`] fuses the caller's predicate into the scan
-//! as a `lazy::Filter`, which tests patched columns in code space and
-//! decodes only survivors, and with `threads > 1` runs that filtered
+//! as a `lazy::Filter`, which per vector tests either patched columns'
+//! codes or decoded values, and with `threads > 1` runs that filtered
 //! scan once per claimed segment on worker threads behind an
 //! `Exchange` (§6 outlook). Every handle a scan holds is shared and
 //! thread-safe (the ledger is lock-free atomics, pool and fault disk are
 //! `Arc<Mutex<_>>` touched once per segment), so workers charge the same
 //! [`StatsHandle`] the serial scan would.
 
-use crate::column::{Column, NumColumn};
+use crate::column::{Column, ColumnStore, NumColumn};
 use crate::disk::{Disk, DiskHandle, ReadOutcome, RetryPolicy, StatsHandle};
-use crate::lazy::{decode_window, segment_is_compressed, Filter, Window};
+use crate::lazy::{decode_window, on_store, segment_is_compressed, Filter, Window};
 use crate::pool::{ChunkId, PoolHandle};
 use crate::table::{Layout, Table};
-use scc_core::Error;
+use scc_core::{Error, Value};
 use scc_engine::{Batch, Exchange, ExplainNode, Expr, OpProfile, Operator, Partition, Vector};
+use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -73,12 +74,12 @@ pub struct ScanOptions {
     pub disk: Disk,
     /// DSM or PAX I/O accounting.
     pub layout: Layout,
-    /// Let the predicate [`Scan::into_plan`] fuses into the scan test
-    /// patched-compressed columns over their codes and decode only
-    /// surviving rows. Off decodes every column and then tests values.
-    /// Scans without a predicate, other modes, plain/LZRW1 segments and
-    /// vector sizes that are not a multiple of the 128-value block
-    /// decode eagerly either way.
+    /// Permits the predicate [`Scan::into_plan`] fuses into the scan to
+    /// test patched columns' codes and decode only survivors; the filter
+    /// chooses per vector whether that is cheaper. Off decodes every
+    /// column and tests values. Scans without a predicate, other modes,
+    /// plain/LZRW1 segments and vector sizes that are not a multiple of
+    /// the 128-value block decode eagerly either way.
     pub code_scan: bool,
 }
 
@@ -95,12 +96,6 @@ impl Default for ScanOptions {
     }
 }
 
-enum PageBuf {
-    I32(Vec<i32>),
-    I64(Vec<i64>),
-    U32(Vec<u32>),
-}
-
 /// The scan operator.
 pub struct Scan {
     table: Arc<Table>,
@@ -113,10 +108,12 @@ pub struct Scan {
     /// [`Scan::try_with_segment_range`] restricted the scan to a slice.
     end: usize,
     cur_segment: Option<usize>,
-    pages: Vec<Option<PageBuf>>,
-    /// The predicate [`Scan::into_plan`] fused into the scan, and the
-    /// profile of the `Select` row it explains as.
-    filter: Option<Arc<Filter>>,
+    /// Page-wise scans: each column's decompressed segment, a `Vec<V>`.
+    pages: Vec<Option<Box<dyn Any + Send + Sync>>>,
+    /// The predicate [`Scan::into_plan`] fused into the scan, with its
+    /// per-segment state, and the profile of the `Select` row it
+    /// explains as.
+    filter: Option<Filter>,
     filter_profile: OpProfile,
     /// Reused LZRW1 page-decompression buffer for page-wise reads of
     /// `Lz` segments (patched segments never touch it).
@@ -253,7 +250,7 @@ impl Scan {
     /// — and reports the workers' summed operator profiles beneath it.
     pub fn into_plan(mut self, predicate: Option<Expr>, threads: usize) -> Box<dyn Operator> {
         assert!(threads >= 1, "a scan needs at least one thread");
-        self.filter = predicate.map(|p| Arc::new(Filter::new(&p)));
+        self.filter = predicate.map(|p| Filter::new(&p));
         if threads == 1 {
             return Box::new(self);
         }
@@ -429,69 +426,43 @@ impl Scan {
         offset: usize,
         take: usize,
     ) -> Vector {
-        let c = self.cols[slot];
-        let col = match &self.table.columns()[c].1 {
-            Column::Num(nc) => nc.clone_ref(),
-            Column::Str(sc) => NumColRef::U32(&sc.codes),
-            Column::Blob(_) => unreachable!("checked at construction"),
-        };
-        macro_rules! produce {
-            ($store:expr, $ctor:path, $page:path, $ty:ty) => {{
-                let mut out = vec![<$ty>::default(); take];
-                if self.opts.mode == ScanMode::Uncompressed {
-                    $store.read_plain(seg * self.table.seg_rows() + offset, &mut out);
-                } else {
-                    if self.pages[slot].is_none() {
-                        let seg_rows = self.table.seg_rows();
-                        let rows = seg_rows.min(self.table.n_rows() - seg * seg_rows);
-                        let mut page = vec![<$ty>::default(); rows];
-                        let t0 = Instant::now();
-                        $store.decode_segment_range_with(seg, 0, &mut page, &mut self.lz_scratch);
-                        self.stats.charge_decompress(t0.elapsed());
-                        // The page is written to RAM and read back.
-                        self.stats.charge_ram_traffic(
-                            2 * (page.len() * std::mem::size_of::<$ty>()) as u64,
-                        );
-                        self.pages[slot] = Some($page(page));
-                    }
-                    match self.pages[slot].as_ref().expect("page just filled") {
-                        $page(p) => out.copy_from_slice(&p[offset..offset + take]),
-                        _ => unreachable!("page type is stable per column"),
-                    }
-                }
-                self.stats.charge_output((take * std::mem::size_of::<$ty>()) as u64);
-                $ctor(out)
-            }};
+        fn typed<V: Value>(
+            store: &ColumnStore<V>,
+            wrap: fn(Vec<V>) -> Vector,
+            scan: &mut Scan,
+            (slot, seg, offset, take): (usize, usize, usize, usize),
+        ) -> Vector {
+            let mut out = vec![V::default(); take];
+            if scan.opts.mode == ScanMode::Uncompressed {
+                store.read_plain(seg * store.seg_rows + offset, &mut out);
+            } else {
+                let page = scan.pages[slot].get_or_insert_with(|| {
+                    let rows = store.seg_rows.min(store.len() - seg * store.seg_rows);
+                    let mut page = vec![V::default(); rows];
+                    let t0 = Instant::now();
+                    store.decode_segment_range_with(seg, 0, &mut page, &mut scan.lz_scratch);
+                    scan.stats.charge_decompress(t0.elapsed());
+                    // The page is written to RAM and read back.
+                    scan.stats.charge_ram_traffic(2 * (rows * V::byte_width()) as u64);
+                    Box::new(page)
+                });
+                let page = page.downcast_ref::<Vec<V>>().expect("page type is stable per column");
+                out.copy_from_slice(&page[offset..offset + take]);
+            }
+            scan.stats.charge_output((take * V::byte_width()) as u64);
+            wrap(out)
         }
-        match col {
-            NumColRef::I32(s) => produce!(s, Vector::I32, PageBuf::I32, i32),
-            NumColRef::I64(s) => produce!(s, Vector::I64, PageBuf::I64, i64),
-            NumColRef::U32(s) => produce!(s, Vector::U32, PageBuf::U32, u32),
-        }
-    }
-}
-
-/// Borrowed view of a numeric column (avoids cloning stores per vector).
-enum NumColRef<'a> {
-    I32(&'a crate::column::ColumnStore<i32>),
-    I64(&'a crate::column::ColumnStore<i64>),
-    U32(&'a crate::column::ColumnStore<u32>),
-}
-
-impl NumColumn {
-    fn clone_ref(&self) -> NumColRef<'_> {
-        match self {
-            NumColumn::I32(c) => NumColRef::I32(c),
-            NumColumn::I64(c) => NumColRef::I64(c),
-            NumColumn::U32(c) => NumColRef::U32(c),
-        }
+        let table = Arc::clone(&self.table);
+        let col = &table.columns()[self.cols[slot]].1;
+        on_store!(col, Vector, typed(self, (slot, seg, offset, take)))
     }
 }
 
 impl Scan {
     /// Reads the next vector, charging the segment's I/O on entry. Every
-    /// column is decoded except, under a filter, one whose segment can
-    /// answer in code space: that one stays packed for the filter.
+    /// column is decoded except, while the filter is in code mode, one
+    /// whose segment can answer in code space: that one stays packed for
+    /// the filter.
     fn read(&mut self) -> Result<Option<Window>, Error> {
         if self.pos >= self.end {
             self.flush_segment_span();
@@ -503,6 +474,9 @@ impl Scan {
             self.flush_segment_span();
             self.try_charge_segment_io(seg)?;
             self.cur_segment = Some(seg);
+            if let Some(f) = &mut self.filter {
+                f.enter(&self.table, &self.cols, seg);
+            }
             for p in &mut self.pages {
                 *p = None;
             }
@@ -521,8 +495,8 @@ impl Scan {
         let code_scan =
             self.opts.code_scan && self.opts.vector_size.is_multiple_of(scc_core::BLOCK);
         let mut vectors = Vec::with_capacity(self.cols.len());
-        // Bytes decoded here, and how many of those columns a filter
-        // could have tested in code space.
+        // Bytes decoded here, and how many of those columns code mode
+        // would have left packed.
         let (mut output_bytes, mut coded) = (0u64, 0u64);
         let t0 = Instant::now();
         for slot in 0..self.cols.len() {
@@ -532,7 +506,7 @@ impl Scan {
             }
             let col = &self.table.columns()[self.cols[slot]].1;
             let codes = code_scan && segment_is_compressed(col, seg);
-            if codes && self.filter.is_some() {
+            if codes && self.filter.as_ref().is_some_and(Filter::code_mode) {
                 vectors.push(None);
                 continue;
             }
@@ -545,7 +519,8 @@ impl Scan {
             self.stats.charge_decompress(t0.elapsed());
             self.stats.charge_output(output_bytes);
         }
-        // What a filter would have booked on decoding those columns.
+        // What a code-mode filter would have booked on decoding them; a
+        // code-mode vector's packed columns the filter books itself.
         self.profile.values_decoded += take as u64 * coded;
         self.pos += take;
         if let Some(t) = &mut self.seg_trace {
@@ -554,8 +529,8 @@ impl Scan {
         Ok(Some(Window { seg, offset, len: take, vectors }))
     }
 
-    /// The next vector holding survivors of `filter`, dense and decoded.
-    fn next_filtered(&mut self, filter: &Filter) -> Result<Option<Batch>, Error> {
+    /// The next vector holding survivors of the filter, dense and decoded.
+    fn next_filtered(&mut self) -> Result<Option<Batch>, Error> {
         loop {
             let start = scc_obs::clock();
             let read = self.read();
@@ -564,6 +539,7 @@ impl Scan {
             let Some(w) = read? else {
                 return Ok(None);
             };
+            let filter = self.filter.as_mut().expect("a filtered scan");
             let (out, decoded, skipped) = filter.apply(&self.table, &self.cols, w, &self.stats)?;
             self.filter_profile.values_decoded += decoded;
             self.filter_profile.values_skipped += skipped;
@@ -610,7 +586,7 @@ impl Drop for Scan {
 impl Operator for Scan {
     fn try_next(&mut self) -> Result<Option<Batch>, Error> {
         let start = scc_obs::clock();
-        let Some(filter) = self.filter.clone() else {
+        if self.filter.is_none() {
             // Collects in place: an unfiltered read decodes every column.
             let decoded = |v: Option<Vector>| v.expect("unfiltered reads leave nothing packed");
             let out = self
@@ -618,8 +594,8 @@ impl Operator for Scan {
                 .map(|w| w.map(|w| Batch::new(w.vectors.into_iter().map(decoded).collect())));
             self.profile.record(start, &out);
             return out;
-        };
-        let out = self.next_filtered(&filter);
+        }
+        let out = self.next_filtered();
         self.filter_profile.record(start, &out);
         out
     }
@@ -984,11 +960,16 @@ mod tests {
     fn code_scan_matches_eager_scan_through_select() {
         // Scrambled values so segments compress as PFOR (a sequential
         // column would pick PFOR-DELTA and the pushdown would no-op).
+        // Segments of eight vectors: each segment's first vector runs in
+        // value mode, and four columns make a mostly dead vector worth
+        // leaving packed.
         let mix = |i: usize| i.wrapping_mul(2654435761) >> 7;
         let t = TableBuilder::new("cs")
-            .seg_rows(2048)
+            .seg_rows(8192)
             .add_i32("a", (0..10_000).map(|i| (mix(i) % 1000) as i32).collect())
             .add_i64("b", (0..10_000).map(|i| (mix(i + 77) % 500) as i64).collect())
+            .add_i64("c", (0..10_000).map(|i| (mix(i + 7) % 500) as i64).collect())
+            .add_i32("d", (0..10_000).map(|i| (mix(i + 3) % 500) as i32).collect())
             .build();
         let run = |code_scan: bool| {
             let stats = stats_handle();
@@ -996,7 +977,7 @@ mod tests {
             // so the block-granular gather skips them outright.
             let mut plan = Scan::new(
                 Arc::clone(&t),
-                &["a", "b"],
+                &["a", "b", "c", "d"],
                 ScanOptions { vector_size: 1024, code_scan, ..Default::default() },
                 Arc::clone(&stats),
                 None,

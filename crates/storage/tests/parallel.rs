@@ -25,21 +25,32 @@ fn mix(i: usize) -> usize {
 }
 
 /// `seq` is sequential, so it compresses as PFOR-DELTA and never
-/// answers a predicate in code space.
+/// answers a predicate in code space. `clu` is clustered in runs of
+/// [`RUN`] rows: a third of the runs hold values below 100, the rest
+/// values from 100 up.
 fn build_table() -> Arc<Table> {
     let key: Vec<i64> = (0..ROWS).map(|i| (mix(i) % 5000) as i64).collect();
     let val: Vec<i64> = (0..ROWS as i64).map(|i| i * i % 100_000).collect();
     let flag = (0..ROWS).map(|i| ["A", "B", "C"][mix(i) % 3].to_string()).collect();
+    let clu = |i: usize| match mix(i / RUN) % 3 {
+        0 => (mix(i) % 100) as i64,
+        _ => (100 + mix(i) % 9900) as i64,
+    };
     TableBuilder::new("bf")
         .seg_rows(SEG_ROWS)
         .add_i64("key", key)
         .add_i64("val", val)
         .add_str("flag", flag)
         .add_i64("seq", (0..ROWS as i64).collect())
+        .add_i64("clu", (0..ROWS).map(clu).collect())
         .build()
 }
 
 const COLS: [&str; 3] = ["key", "val", "flag"];
+
+/// Rows per run of `clu`, and per vector where the filter should switch
+/// modes inside a segment.
+const RUN: usize = 256;
 
 fn scan(table: &Arc<Table>, opts: ScanOptions, stats: &scc_storage::StatsHandle) -> Scan {
     Scan::new(Arc::clone(table), &COLS, opts, Arc::clone(stats), None)
@@ -184,9 +195,13 @@ fn uncompressed_mode_parallelizes_too() {
 #[test]
 fn exchange_reports_the_workers_summed_fragment_profiles() {
     let table = build_table();
-    let pred = Expr::col(0).lt(Expr::lit_i64(50));
+    // Whole vectors of `clu` fail, so after each segment's first vector
+    // the filter leaves the four columns packed for a dead one.
+    let pred = Expr::col(3).lt(Expr::lit_i64(50));
     let explain = |threads| {
-        let mut plan = scan(&table, ScanOptions::default(), &stats_handle())
+        let opts = ScanOptions { vector_size: RUN, ..Default::default() };
+        let cols = [COLS[0], COLS[1], COLS[2], "clu"];
+        let mut plan = Scan::new(Arc::clone(&table), &cols, opts, stats_handle(), None)
             .into_plan(Some(pred.clone()), threads);
         collect(plan.as_mut());
         plan.explain()
@@ -197,7 +212,7 @@ fn exchange_reports_the_workers_summed_fragment_profiles() {
     let [select] = &parallel.children[..] else { panic!("one fragment tree: {parallel:?}") };
     assert_eq!(
         (select.label.as_str(), select.children[0].label.as_str()),
-        ("Select", "Scan(bf: key, val, flag)")
+        ("Select", "Scan(bf: key, val, flag, clu)")
     );
     // Same rows, vectors and compressed-domain counts as the serial
     // plan's Select and Scan; only wall time differs.
@@ -266,18 +281,25 @@ proptest! {
     /// that decodes everything on its workers cannot book "the same
     /// totals". Batches must agree across all four (threads, code_scan)
     /// shapes; the ledger must agree across thread counts for each
-    /// code_scan setting, fault counters included.
+    /// code_scan setting, fault counters included. Vectors are [`RUN`]
+    /// rows, four to a segment, and the band on the clustered `clu`
+    /// kills whole vectors: alone it runs both modes inside one scan;
+    /// under the six other conjuncts, testing codes costs more than
+    /// decoding what it would skip, and the filter stays on values.
     #[test]
     fn q6_style_predicate_same_batches_same_ledger(
         lo in 0i64..4000,
         width in 1i64..1500,
         val_cut in 0i64..100_000,
+        clu_cut in 0i64..100,
         fault_seed in 0u64..1000,
     ) {
         let table = build_table();
         let flag_b = table.str_col("flag").codes_matching(|s| s == "B");
-        let pred = Expr::col(0)
-            .ge(Expr::lit_i64(lo))
+        let band = Expr::col(4).lt(Expr::lit_i64(clu_cut));
+        let q6 = band
+            .clone()
+            .and(Expr::col(0).ge(Expr::lit_i64(lo)))
             .and(Expr::col(0).lt(Expr::lit_i64(lo + width)))
             .and(Expr::col(1).lt(Expr::lit_i64(val_cut)))
             .and(Expr::col(2).in_set(flag_b))
@@ -287,34 +309,39 @@ proptest! {
         // Recoverable faults: a 20-attempt budget always gets through,
         // so every shape scans every segment.
         let plan = FaultPlan { seed: fault_seed, bit_flip: 0.2, truncate: 0.05, transient_fail: 0.1 };
-        let shape = |threads: usize, code_scan: bool| {
-            let stats = stats_handle();
-            let opts = ScanOptions { code_scan, ..Default::default() };
-            let cols = [COLS[0], COLS[1], COLS[2], "seq"];
-            let mut p = Scan::new(Arc::clone(&table), &cols, opts, Arc::clone(&stats), None)
-                .with_fault_injection(
-                    faulty(plan),
-                    RetryPolicy { max_attempts: 20, backoff_seconds: 0.001 },
-                )
-                .into_plan(Some(pred.clone()), threads);
-            (collect(p.as_mut()), deterministic(stats.snapshot()))
-        };
-        let (reference, eager_stats) = shape(1, false);
-        for code_scan in [false, true] {
-            let (serial, serial_stats) = shape(1, code_scan);
-            let (parallel, parallel_stats) = shape(2, code_scan);
-            prop_assert_eq!(&serial, &reference, "code_scan={}", code_scan);
-            prop_assert_eq!(&parallel, &reference, "threads=2 code_scan={}", code_scan);
-            prop_assert_eq!(parallel_stats, serial_stats, "code_scan={}", code_scan);
-            prop_assert_eq!(serial_stats.quarantined_chunks, 0);
+        for (pred, both_modes) in [(band, true), (q6, false)] {
+            let shape = |threads: usize, code_scan: bool| {
+                let stats = stats_handle();
+                let opts = ScanOptions { code_scan, vector_size: RUN, ..Default::default() };
+                let cols = [COLS[0], COLS[1], COLS[2], "seq", "clu"];
+                let mut p = Scan::new(Arc::clone(&table), &cols, opts, Arc::clone(&stats), None)
+                    .with_fault_injection(
+                        faulty(plan),
+                        RetryPolicy { max_attempts: 20, backoff_seconds: 0.001 },
+                    )
+                    .into_plan(Some(pred.clone()), threads);
+                let out = collect(p.as_mut());
+                (out, deterministic(stats.snapshot()), p.explain().values_totals())
+            };
+            let (reference, eager_stats, _) = shape(1, false);
+            for code_scan in [false, true] {
+                let (serial, serial_stats, serial_totals) = shape(1, code_scan);
+                let (parallel, parallel_stats, parallel_totals) = shape(2, code_scan);
+                prop_assert_eq!(&serial, &reference, "code_scan={}", code_scan);
+                prop_assert_eq!(&parallel, &reference, "threads=2 code_scan={}", code_scan);
+                prop_assert_eq!(parallel_stats, serial_stats, "code_scan={}", code_scan);
+                prop_assert_eq!(parallel_totals, serial_totals, "code_scan={}", code_scan);
+                prop_assert_eq!(serial_stats.quarantined_chunks, 0);
+            }
+            // Code mode decodes survivors only, on either thread count.
+            let (_, lazy_stats, (_, skipped)) = shape(2, true);
+            prop_assert_eq!(skipped > 0, both_modes, "skipped {}", skipped);
+            prop_assert_eq!(lazy_stats.output_bytes < eager_stats.output_bytes, both_modes);
+            prop_assert_eq!(
+                ScanSnapshot { output_bytes: 0, ..lazy_stats },
+                ScanSnapshot { output_bytes: 0, ..eager_stats },
+                "code scans change what is decoded, never what is read"
+            );
         }
-        // Code scans decode survivors only, on either thread count.
-        let (_, lazy_stats) = shape(2, true);
-        prop_assert!(lazy_stats.output_bytes < eager_stats.output_bytes);
-        prop_assert_eq!(
-            ScanSnapshot { output_bytes: 0, ..lazy_stats },
-            ScanSnapshot { output_bytes: 0, ..eager_stats },
-            "code scans change what is decoded, never what is read"
-        );
     }
 }

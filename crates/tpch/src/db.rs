@@ -165,10 +165,11 @@ pub struct QueryConfig {
     /// per segment on that many workers (see [`Scan::into_plan`]; the
     /// rest of the pipeline stays on the calling thread).
     pub threads: usize,
-    /// Compressed-domain predicate pushdown: the predicate fused into a
-    /// scan tests packed codes and decodes only survivors (see
-    /// [`ScanOptions::code_scan`]); scans without one decode eagerly
-    /// either way. Off reproduces the decode-then-test baseline.
+    /// Compressed-domain predicate pushdown: permits the predicate fused
+    /// into a scan to test packed codes and decode only survivors, which
+    /// it does for the vectors where its cost rule says that is cheaper
+    /// (see [`ScanOptions::code_scan`]); scans without one decode
+    /// eagerly either way. Off reproduces the decode-then-test baseline.
     pub code_scan: bool,
 }
 
