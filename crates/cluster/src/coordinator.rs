@@ -59,8 +59,8 @@ pub struct NodeInfo {
 
 /// The cluster coordinator. Holds the topology, the per-table partition
 /// manifests, and the retry/chaos configuration; every scan builds its
-/// own shard connections, so a `Coordinator` is cheap to share behind an
-/// `Arc` across loadgen threads.
+/// own shard connections, so a `Coordinator` is cheap to share across
+/// threads.
 pub struct Coordinator {
     topology: Topology,
     cfg: ClusterConfig,
@@ -298,22 +298,6 @@ impl Coordinator {
             row += take;
         }
         Ok(out.unwrap_or(Vector::I64(Vec::new())))
-    }
-
-    /// Asks every reachable node to shut down (gracefully unless
-    /// `force`); returns how many acknowledged. Unreachable nodes —
-    /// e.g. one already killed by a chaos schedule — are skipped, not
-    /// errors.
-    pub fn shutdown_nodes(&self, force: bool) -> usize {
-        let mut acked = 0;
-        for addr in &self.topology.nodes {
-            if let Ok(mut c) = Client::connect(addr) {
-                if c.shutdown_server(force).is_ok() {
-                    acked += 1;
-                }
-            }
-        }
-        acked
     }
 }
 

@@ -36,11 +36,9 @@
 #![warn(missing_docs)]
 
 pub mod coordinator;
-pub mod loadgen;
 pub mod topology;
 
 pub use coordinator::{ClusterConfig, Coordinator, NodeInfo};
-pub use loadgen::{run_cluster_loadgen, ClusterLoadgenConfig, ClusterLoadgenReport};
 pub use topology::Topology;
 
 /// Typed cluster failures: what a coordinator caller sees when the

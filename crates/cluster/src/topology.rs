@@ -68,6 +68,14 @@ impl Topology {
                             reason: format!("node address {value:?} is not host:port"),
                         });
                     }
+                    // A repeated address would let a partition's replica
+                    // be its primary's own host: no failover at all.
+                    if nodes.iter().any(|n| n == value) {
+                        return Err(ClusterError::Topology {
+                            line,
+                            reason: format!("node address {value:?} is listed twice"),
+                        });
+                    }
                     nodes.push(value.to_string());
                 }
                 "partitions" => {
@@ -193,6 +201,7 @@ mod tests {
             ("node noport\n", 1),
             ("node a:1\npartitions 0\n", 2),
             ("node a:1\nreplication 3\n", 2),
+            ("node a:1\nnode b:2\nnode a:1\n", 3),
             ("# empty\n", 0),
         ] {
             match Topology::parse(text) {

@@ -5,10 +5,8 @@
 //! seeded chaos with a killed primary (served from the replica, zero
 //! lost or duplicated rows).
 
-use scc_cluster::{
-    run_cluster_loadgen, ClusterConfig, ClusterError, ClusterLoadgenConfig, Coordinator, Topology,
-};
-use scc_engine::ops;
+use scc_cluster::{ClusterConfig, ClusterError, Coordinator, Topology};
+use scc_engine::{ops, Expr, Select};
 use scc_server::{
     demo_table, Catalog, ChaosPlan, PredOp, Predicate, RetryPolicy, Server, ServerConfig,
     PROTOCOL_VERSION,
@@ -131,62 +129,56 @@ fn killed_primary_is_served_by_its_replica_byte_identically_under_chaos() {
     servers[0].stop();
     assert!(manifest.primary.contains(&0), "node 0 should own at least one partition");
 
-    let oracle_full = local_scan(&table, &["key", "val", "flag"]);
-    let oracle_filtered = {
-        use scc_engine::{Expr, Select};
-        let scan = Scan::new(
-            Arc::clone(&table),
-            &["key", "val", "flag"],
-            ScanOptions::default(),
-            stats_handle(),
-            None,
-        );
-        ops::collect(&mut Select::new(scan, Expr::col(1).lt(Expr::lit_i32(500))))
+    let columns = ["key", "val", "flag"];
+    let local_select = |predicate: Expr| {
+        let scan =
+            Scan::new(Arc::clone(&table), &columns, ScanOptions::default(), stats_handle(), None);
+        ops::collect(&mut Select::new(scan, predicate))
     };
-
-    let (merged, rows_seen) =
-        coord.scan("demo", &["key", "val", "flag"], None).expect("replica serves");
-    assert_eq!(rows_seen as usize, rows);
-    assert_eq!(merged, oracle_full, "replica-served scan diverged");
-
-    let pred = Predicate { column: "val".into(), op: PredOp::Lt, literal: 500 };
-    let (filtered, _) =
-        coord.scan("demo", &["key", "val", "flag"], Some(&pred)).expect("pushed-down predicate");
-    assert_eq!(filtered, oracle_filtered, "replica-served filtered scan diverged");
+    let ship = table.str_col("flag").dict.binary_search(&"SHIP".to_string()).expect("SHIP") as u32;
+    // (pushed predicate, single-node answer): none, a numeric column, and
+    // a dictionary column compared on its codes.
+    let scans = [
+        (None, local_scan(&table, &columns)),
+        (
+            Some(Predicate { column: "val".into(), op: PredOp::Lt, literal: 500 }),
+            local_select(Expr::col(1).lt(Expr::lit_i32(500))),
+        ),
+        (
+            Some(Predicate { column: "flag".into(), op: PredOp::Eq, literal: i64::from(ship) }),
+            local_select(Expr::col(2).eq(Expr::lit_u32(ship))),
+        ),
+    ];
 
     // Point reads spanning the dead node's partition boundary.
     let (p0_start, p0_end) = manifest.bounds[0];
     let span_start = p0_end.saturating_sub(100).max(p0_start);
-    let got = coord
-        .segment_range("demo", "key", span_start as u64, 200, true)
-        .expect("routed point read");
-    let want = table.try_read_rows(0, span_start, 200.min(rows - span_start)).expect("oracle rows");
-    assert_eq!(got, want, "routed segment-range diverged");
-}
+    let span_len = 200.min(rows - span_start);
 
-#[test]
-fn cluster_loadgen_verifies_byte_exact_with_a_dead_primary() {
-    let rows = 30_000;
-    let table = demo_table(rows);
-    let nodes = 3;
-    let manifest = PartitionManifest::range("demo", rows, table.seg_rows(), 4, nodes);
-    let parts = partition_table(&table, &manifest);
-    let mut servers = start_shards(&[(&manifest, parts.as_slice())], nodes);
-    let topology = Topology { nodes: addrs(&servers), partitions: 4, replication: 1 };
-    let mut coord = Coordinator::new(
-        topology,
-        ClusterConfig { retry: fast_retry(), ..ClusterConfig::default() },
-    );
-    coord.register(manifest.clone());
-    servers[2].stop();
-
-    let cfg = ClusterLoadgenConfig { requests: 24, threads: 2, seed: 7 };
-    let report = run_cluster_loadgen(&coord, &table, &cfg).expect("loadgen runs");
-    assert_eq!(report.requests, 24);
-    assert_eq!(report.verify_failures, 0, "cluster returned wrong bytes");
-    assert_eq!(report.errors, 0, "replica failover should absorb the dead node");
-    assert_eq!(report.ok, 24);
-    assert!(report.rows_streamed > 0);
+    // Two threads share one coordinator, each sending every request kind.
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for (pred, oracle) in &scans {
+                    let (merged, rows_seen) =
+                        coord.scan("demo", &columns, pred.as_ref()).expect("replica serves");
+                    assert_eq!(&merged, oracle, "replica-served scan diverged under {pred:?}");
+                    if pred.is_none() {
+                        assert_eq!(rows_seen as usize, rows);
+                    }
+                }
+                for (col, column) in columns.iter().enumerate() {
+                    let want = table.try_read_rows(col, span_start, span_len).expect("oracle rows");
+                    for raw in [false, true] {
+                        let got = coord
+                            .segment_range("demo", column, span_start as u64, span_len as u32, raw)
+                            .expect("routed point read");
+                        assert_eq!(got, want, "routed {column} read (raw={raw}) diverged");
+                    }
+                }
+            });
+        }
+    });
 }
 
 #[test]

@@ -74,10 +74,10 @@ pub enum Error {
         dict_len: usize,
     },
     /// A block decode found the segment's code section shorter than its
-    /// layout promises. The v2 wire format validates section lengths on
-    /// load, so this firing means the in-memory segment was corrupted (or
-    /// a v1 segment lied); the decode surfaces it instead of panicking so
-    /// a served scan can fail one request rather than a worker thread.
+    /// layout promises. The wire format validates section lengths on
+    /// load, so this firing means the in-memory segment was corrupted;
+    /// the decode surfaces it instead of panicking so a served scan can
+    /// fail one request rather than a worker thread.
     CorruptCodes {
         /// The 128-value block whose codes are missing.
         block: usize,

@@ -14,7 +14,7 @@
 //!   [`take_len_prefixed`]), the walk the CLI's `SCCF` container uses.
 //!   Structural defects report [`Error::Truncated`] with the same
 //!   offsets the container historically produced. (Per-record
-//!   integrity there comes from the segment wire format's own v2
+//!   integrity there comes from the segment wire format's own
 //!   checksums, so the prefix itself carries no CRC.)
 //!
 //! Both paths share the length-prefix arithmetic and the hand-rolled

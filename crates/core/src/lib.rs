@@ -81,6 +81,6 @@ pub use patch::{EntryPoint, BLOCK, MAX_SEGMENT_VALUES};
 pub use pdict::Dictionary;
 pub use pfor::CompressKernel;
 pub use predicate::{const_outcome, type_literal, CodePredicate, PredOp, TypedLit, ValuePred};
-pub use segment::{Integrity, Layout, SchemeKind, Segment, SegmentStats};
+pub use segment::{Layout, SchemeKind, Segment, SegmentStats};
 pub use value::Value;
 pub use wire::WireError;

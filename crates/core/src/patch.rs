@@ -107,8 +107,8 @@ pub fn write_gap_codes(codes: &mut [u32], positions: &[u32]) {
 /// dependency is the list pointer (a data hazard, not a control hazard).
 ///
 /// The walk stops early if the list runs past `limit` (the block length):
-/// the gap codes live in the checksummed data itself, so a corrupt v1
-/// segment — or a crafted file — can encode a chain that escapes the
+/// the gap codes live in the checksummed data itself, so a crafted file
+/// whose checksums were recomputed can encode a chain that escapes the
 /// block. Stopping leaves those values unpatched (garbage in, garbage
 /// out) instead of reading out of bounds. The check rides on the loop's
 /// existing compare, so clean decode speed is unaffected.

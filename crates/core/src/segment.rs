@@ -18,26 +18,6 @@ use crate::patch::{walk_patch_list, walk_patch_list_fused, EntryPoint, BLOCK, MA
 use crate::value::Value;
 use scc_bitpack::{get_one, packed_words, unpack};
 
-/// Whether a segment's bytes were checksum-verified when it was loaded.
-///
-/// Segments built in memory by an encoder are trivially [`Verified`]
-/// (nothing untrusted touched them); segments deserialized from wire
-/// format v2 are [`Verified`] because every section passed its CRC32C;
-/// segments read from legacy wire format v1 are [`Unverified`] — v1
-/// carries no checksums, so payload corruption there is undetectable at
-/// load time.
-///
-/// [`Verified`]: Integrity::Verified
-/// [`Unverified`]: Integrity::Unverified
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Integrity {
-    /// Sections were verified against checksums (or built in memory).
-    Verified,
-    /// Loaded from a checksum-less v1 segment; contents are plausible but
-    /// unvouched-for.
-    Unverified,
-}
-
 /// Physical layout of the bit-packed code section.
 ///
 /// Both layouts pack the same `b`-bit codes into the same number of
@@ -47,8 +27,7 @@ pub enum Integrity {
 /// four lanes word-wise so SIMD decoders need no cross-lane shuffles
 /// (see [`scc_bitpack::vert`]). A trailing partial block is stored
 /// horizontally in either layout. The wire format records the layout in
-/// the version/scheme bytes (v3 = vertical; v1/v2 are always
-/// horizontal).
+/// the version/scheme bytes (v3 = vertical; v2 is always horizontal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Layout {
     /// Paper layout: codes packed in logical value order.
@@ -101,7 +80,7 @@ impl SchemeKind {
 }
 
 /// A compressed column segment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment<V: Value> {
     pub(crate) scheme: SchemeKind,
     pub(crate) n: usize,
@@ -121,8 +100,6 @@ pub struct Segment<V: Value> {
     pub(crate) dict: Vec<V>,
     /// Physical order of the packed codes: see [`Layout`].
     pub(crate) layout: Layout,
-    /// Provenance of the bytes: see [`Integrity`].
-    pub(crate) integrity: Integrity,
 }
 
 // Compile-time proof that segments cross threads: the parallel scan in
@@ -139,26 +116,6 @@ const _: () = {
     every_segment_is_send_sync::<u64>();
     every_segment_is_send_sync::<i64>();
 };
-
-/// Equality compares the logical contents only — two segments with the
-/// same values are equal regardless of whether one came off disk
-/// [`Integrity::Unverified`].
-impl<V: Value> PartialEq for Segment<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.scheme == other.scheme
-            && self.layout == other.layout
-            && self.n == other.n
-            && self.b == other.b
-            && self.base == other.base
-            && self.entries == other.entries
-            && self.delta_bases == other.delta_bases
-            && self.codes == other.codes
-            && self.exceptions == other.exceptions
-            && self.dict == other.dict
-    }
-}
-
-impl<V: Value> Eq for Segment<V> {}
 
 /// Size and composition report for a segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -279,9 +236,8 @@ impl<V: Value> Segment<V> {
 
     /// Decompresses block `blk` into `out[..len]`; returns `len`, or
     /// [`Error::CorruptCodes`] when the code section is shorter than the
-    /// segment's own layout promises (possible only for corrupt v1
-    /// segments or in-memory corruption — v2 validates section lengths at
-    /// load). On error `out` may hold partially decoded garbage.
+    /// segment's own layout promises (possible only through in-memory
+    /// corruption — the wire format validates section lengths at load). On error `out` may hold partially decoded garbage.
     ///
     /// This is the two-loop patched decode of §3.1, fused: LOOP1 is a
     /// single kernel pass that unpacks every code and applies the
@@ -543,15 +499,9 @@ impl<V: Value> Segment<V> {
         SegmentIter { seg: self, buf: [V::default(); BLOCK], blk: 0, pos: 0, len: 0 }
     }
 
-    /// Whether the segment's bytes were checksum-verified at load time.
-    #[inline]
-    pub fn integrity(&self) -> Integrity {
-        self.integrity
-    }
-
     /// Serialized size in bytes of each section, `(header, entry_points,
     /// codes, exceptions, extra)` where `extra` covers delta bases or the
-    /// dictionary. The header component includes the v2 checksum block.
+    /// dictionary. The header component includes the checksum block.
     pub fn section_bytes(&self) -> (usize, usize, usize, usize, usize) {
         let w = V::byte_width();
         (
@@ -706,7 +656,6 @@ impl<'a, V: Value> SegmentAssembly<'a, V> {
             exceptions,
             dict: self.dict,
             layout: self.layout,
-            integrity: Integrity::Verified,
         }
     }
 }

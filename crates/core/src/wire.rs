@@ -30,10 +30,6 @@
 //! +--------------------+
 //! ```
 //!
-//! Version 1 is the same without the checksum block (sections start at
-//! byte 32). Readers accept both; v1 segments load flagged
-//! [`Integrity::Unverified`] since nothing vouches for their payload.
-//!
 //! Version 3 marks a **vertical-layout** segment (see
 //! [`crate::segment::Layout`]): identical to v2 byte-for-byte in
 //! structure, except that bit 7 of the scheme byte is set (the low bits
@@ -45,15 +41,14 @@
 //! report v3 as [`WireError::BadVersion`] rather than mis-decoding a
 //! vertical code section.
 //!
-//! Writers emit v2 (horizontal) or v3 (vertical). A serialized segment
-//! must be *exactly* its computed size — trailing bytes are rejected —
-//! which makes the version byte itself tamper-evident: rewriting `2` as
-//! `1` shifts every section by the checksum block's 24 bytes and fails
-//! the length check, while any flip among {2, 3} or of the layout bit is
-//! caught by the header CRC.
+//! Writers emit v2 (horizontal) or v3 (vertical), and readers accept
+//! exactly those two: any other version byte is
+//! [`WireError::BadVersion`], and a flip among {2, 3} or of the layout
+//! bit is caught by the header CRC. A serialized segment must be
+//! *exactly* its computed size — trailing bytes are rejected.
 //!
 //! Every CRC is [`crate::crc::crc32c`]. CRC32C detects all single-bit and
-//! single-byte errors, so any one-byte corruption anywhere in a v2 segment
+//! single-byte errors, so any one-byte corruption anywhere in a segment
 //! is *guaranteed* to surface as a typed [`WireError`] — the property the
 //! corruption sweep in `tests/corruption.rs` exercises exhaustively.
 //! Checksums are verified once per segment load ([`Segment::from_bytes`]),
@@ -62,17 +57,17 @@
 
 use crate::crc::crc32c;
 use crate::patch::EntryPoint;
-use crate::segment::{Integrity, Layout as SegLayout, SchemeKind, Segment};
+use crate::segment::{Layout as SegLayout, SchemeKind, Segment};
 use crate::value::Value;
 use std::fmt;
 
-/// Fixed header size in bytes (both versions).
+/// Fixed header size in bytes.
 pub const HEADER_BYTES: usize = 32;
 
-/// Size of the v2 checksum block: six CRC32C words.
+/// Size of the checksum block: six CRC32C words.
 pub const CHECKSUM_BYTES: usize = 24;
 
-/// Bytes before the first section in a v2 segment.
+/// Bytes before the first section.
 pub const HEADER_BYTES_V2: usize = HEADER_BYTES + CHECKSUM_BYTES;
 
 const MAGIC: [u8; 4] = *b"SCCS";
@@ -81,7 +76,6 @@ const MAGIC: [u8; 4] = *b"SCCS";
 pub const VERSION: u8 = 2;
 /// The version written by [`Segment::to_bytes`] for vertical segments.
 pub const VERSION_V3: u8 = 3;
-const VERSION_V1: u8 = 1;
 
 /// v3 scheme-byte bit marking a vertical code section.
 const LAYOUT_FLAG: u8 = 0x80;
@@ -116,7 +110,7 @@ pub enum WireError {
     /// over the segment cap, wrong code-section size, non-monotone entry
     /// points, ...).
     Corrupt(&'static str),
-    /// A v2 section's CRC32C does not match its stored checksum.
+    /// A section's CRC32C does not match its stored checksum.
     Checksum {
         /// Which section failed verification.
         section: &'static str,
@@ -189,7 +183,7 @@ struct Layout {
     fences: [usize; 6],
 }
 
-/// Integrity verification failure: the earliest byte offset known to be
+/// Verification failure: the earliest byte offset known to be
 /// corrupt (the offending header field, or the start of the first section
 /// whose checksum fails) plus the typed error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,11 +205,8 @@ impl std::error::Error for VerifyFailure {}
 /// Summary returned by [`verify`] for an intact segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Wire format version (1, 2 or 3).
+    /// Wire format version (2 or 3).
     pub version: u8,
-    /// [`Integrity::Verified`] for v2/v3 (checksums checked),
-    /// [`Integrity::Unverified`] for v1 (nothing to check against).
-    pub integrity: Integrity,
     /// Compression scheme of the segment.
     pub scheme: SchemeKind,
     /// Code-section layout (vertical for v3, horizontal otherwise).
@@ -227,18 +218,13 @@ pub struct VerifyReport {
 }
 
 /// Checks a serialized segment's integrity without materializing it:
-/// structural header validation, exact-length check, and (for v2) all six
-/// section checksums. Works for any value type — the width is taken from
+/// structural header validation, exact-length check, and all six section
+/// checksums. Works for any value type — the width is taken from
 /// the header's type tag. This is what `scc verify` runs per segment.
 pub fn verify(bytes: &[u8]) -> Result<VerifyReport, VerifyFailure> {
     let layout = parse_layout(bytes)?;
     Ok(VerifyReport {
         version: layout.version,
-        integrity: if layout.version == VERSION_V1 {
-            Integrity::Unverified
-        } else {
-            Integrity::Verified
-        },
         scheme: layout.scheme,
         layout: layout.layout,
         n: layout.n,
@@ -251,7 +237,7 @@ fn fail(offset: usize, error: WireError) -> VerifyFailure {
 }
 
 /// Validates everything that can be validated without the value type:
-/// magic, version, header fields, exact total length, v2 checksums, entry
+/// magic, version, header fields, exact total length, checksums, entry
 /// point monotonicity and scheme invariants. Returns the section layout.
 fn parse_layout(bytes: &[u8]) -> Result<Layout, VerifyFailure> {
     if bytes.len() < HEADER_BYTES {
@@ -264,27 +250,27 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, VerifyFailure> {
         return Err(fail(0, WireError::BadMagic));
     }
     let version = bytes[4];
-    if version != VERSION_V1 && version != VERSION && version != VERSION_V3 {
+    if version != VERSION && version != VERSION_V3 {
         return Err(fail(4, WireError::BadVersion(version)));
     }
-    let body = if version == VERSION_V1 { HEADER_BYTES } else { HEADER_BYTES_V2 };
-    if bytes.len() < body {
-        return Err(fail(bytes.len(), WireError::Truncated { need: body, have: bytes.len() }));
+    if bytes.len() < HEADER_BYTES_V2 {
+        return Err(fail(
+            bytes.len(),
+            WireError::Truncated { need: HEADER_BYTES_V2, have: bytes.len() },
+        ));
     }
     let rd32 = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-    // For v2/v3, the header checksum is verified before any header field
-    // is *trusted* (scheme and type tags, counts, the layout bit), so a
+    // The header checksum is verified before any header field is
+    // *trusted* (scheme and type tags, counts, the layout bit), so a
     // corrupted header is reported as such instead of as whatever
     // nonsense it decodes to.
-    if version != VERSION_V1 {
-        let stored = rd32(HEADER_BYTES);
-        let computed = crc32c(&bytes[..HEADER_BYTES]);
-        if stored != computed {
-            return Err(fail(0, WireError::Checksum { section: "header", stored, computed }));
-        }
+    let stored = rd32(HEADER_BYTES);
+    let computed = crc32c(&bytes[..HEADER_BYTES]);
+    if stored != computed {
+        return Err(fail(0, WireError::Checksum { section: "header", stored, computed }));
     }
-    // v3 carries the layout in bit 7 of the scheme byte; earlier versions
-    // are horizontal by definition (and reject a set bit as a bad tag).
+    // v3 carries the layout in bit 7 of the scheme byte; v2 is horizontal
+    // by definition (and rejects a set bit as a bad tag).
     let (scheme_tag, layout) = if version == VERSION_V3 {
         let vertical = bytes[5] & LAYOUT_FLAG != 0;
         (
@@ -322,7 +308,7 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, VerifyFailure> {
     let n_blocks = n.div_ceil(crate::patch::BLOCK);
     let delta_lanes = if layout == SegLayout::Vertical { VERT_DELTA_LANES } else { 1 };
     let n_delta = if scheme == SchemeKind::PforDelta { n_blocks * delta_lanes } else { 0 };
-    let entries_off = body;
+    let entries_off = HEADER_BYTES_V2;
     let deltas_off = entries_off + n_blocks * 4;
     let dict_off = deltas_off + n_delta * width;
     let codes_off = dict_off + n_dict * width;
@@ -332,30 +318,27 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, VerifyFailure> {
         return Err(fail(bytes.len(), WireError::Truncated { need, have: bytes.len() }));
     }
     if bytes.len() > need {
-        // A segment slice must be exact. Besides catching container-level
-        // mis-framing, this is what makes a v2→v1 version-byte flip
-        // detectable (the 24 checksum bytes become trailing garbage).
+        // A segment slice must be exact, which catches container-level
+        // mis-framing.
         return Err(fail(need, WireError::Corrupt("trailing bytes after segment")));
     }
-    if version != VERSION_V1 {
-        let sections: [(&'static str, usize, usize); 5] = [
-            ("entry points", entries_off, deltas_off),
-            ("delta bases", deltas_off, dict_off),
-            ("dictionary", dict_off, codes_off),
-            ("codes", codes_off, exc_off),
-            ("exceptions", exc_off, need),
-        ];
-        for (i, &(section, start, end)) in sections.iter().enumerate() {
-            let stored = rd32(HEADER_BYTES + 4 + i * 4);
-            let computed = crc32c(&bytes[start..end]);
-            if stored != computed {
-                return Err(fail(start, WireError::Checksum { section, stored, computed }));
-            }
+    let sections: [(&'static str, usize, usize); 5] = [
+        ("entry points", entries_off, deltas_off),
+        ("delta bases", deltas_off, dict_off),
+        ("dictionary", dict_off, codes_off),
+        ("codes", codes_off, exc_off),
+        ("exceptions", exc_off, need),
+    ];
+    for (i, &(section, start, end)) in sections.iter().enumerate() {
+        let stored = rd32(HEADER_BYTES + 4 + i * 4);
+        let computed = crc32c(&bytes[start..end]);
+        if stored != computed {
+            return Err(fail(start, WireError::Checksum { section, stored, computed }));
         }
     }
     // Entry points must partition the exception section monotonically,
-    // with at most 128 exceptions per block. (For v2 this is defense in
-    // depth behind the checksum; for v1 it is the only line.)
+    // with at most 128 exceptions per block: defence in depth behind the
+    // checksum, for bytes resealed after corruption.
     let entry_at = |i: usize| EntryPoint(rd32(entries_off + i * 4));
     for i in 1..n_blocks {
         let (a, b) = (entry_at(i - 1).exception_start(), entry_at(i).exception_start());
@@ -405,30 +388,9 @@ impl<V: Value> Segment<V> {
     /// v3 for vertical ones (both checksummed; the byte layout is
     /// otherwise identical).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let version = if self.layout() == SegLayout::Vertical { VERSION_V3 } else { VERSION };
-        self.to_bytes_versioned(version)
-    }
-
-    /// Serializes the segment in legacy wire format v1 (no checksums).
-    /// Kept for compatibility tests and for producing inputs to the v1
-    /// read path; new data should use [`to_bytes`](Self::to_bytes).
-    ///
-    /// # Panics
-    /// Panics for vertical segments: v1 readers would silently decode the
-    /// vertical code section with horizontal bit order.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        self.to_bytes_versioned(VERSION_V1)
-    }
-
-    fn to_bytes_versioned(&self, version: u8) -> Vec<u8> {
-        // A vertical code section is only decodable by a layout-aware
-        // reader, and only v3 records the layout.
-        assert!(
-            self.layout() == SegLayout::Horizontal || version == VERSION_V3,
-            "vertical segments require wire format v3"
-        );
-        let scheme_byte =
-            self.scheme.tag() | if self.layout() == SegLayout::Vertical { LAYOUT_FLAG } else { 0 };
+        let vertical = self.layout() == SegLayout::Vertical;
+        let version = if vertical { VERSION_V3 } else { VERSION };
+        let scheme_byte = self.scheme.tag() | if vertical { LAYOUT_FLAG } else { 0 };
         let w = V::byte_width();
         let mut out = Vec::with_capacity(self.compressed_bytes());
         out.extend_from_slice(&MAGIC);
@@ -446,11 +408,9 @@ impl<V: Value> Segment<V> {
         base8[..w].copy_from_slice(&tmp);
         out.extend_from_slice(&base8);
         debug_assert_eq!(out.len(), HEADER_BYTES);
-        if version != VERSION_V1 {
-            // Checksum block placeholder, patched below once the section
-            // bytes exist.
-            out.extend_from_slice(&[0u8; CHECKSUM_BYTES]);
-        }
+        // Checksum block placeholder, patched below once the section bytes
+        // exist.
+        out.extend_from_slice(&[0u8; CHECKSUM_BYTES]);
         let entries_off = out.len();
         for e in &self.entries {
             out.extend_from_slice(&e.0.to_le_bytes());
@@ -472,35 +432,28 @@ impl<V: Value> Segment<V> {
         for &v in self.exceptions.iter().rev() {
             v.write_le(&mut out);
         }
-        if version != VERSION_V1 {
-            let crcs = [
-                crc32c(&out[..HEADER_BYTES]),
-                crc32c(&out[entries_off..deltas_off]),
-                crc32c(&out[deltas_off..dict_off]),
-                crc32c(&out[dict_off..codes_off]),
-                crc32c(&out[codes_off..exc_off]),
-                crc32c(&out[exc_off..]),
-            ];
-            for (i, crc) in crcs.iter().enumerate() {
-                out[HEADER_BYTES + i * 4..HEADER_BYTES + (i + 1) * 4]
-                    .copy_from_slice(&crc.to_le_bytes());
-            }
-            debug_assert_eq!(out.len(), self.compressed_bytes());
+        let crcs = [
+            crc32c(&out[..HEADER_BYTES]),
+            crc32c(&out[entries_off..deltas_off]),
+            crc32c(&out[deltas_off..dict_off]),
+            crc32c(&out[dict_off..codes_off]),
+            crc32c(&out[codes_off..exc_off]),
+            crc32c(&out[exc_off..]),
+        ];
+        for (i, crc) in crcs.iter().enumerate() {
+            out[HEADER_BYTES + i * 4..HEADER_BYTES + (i + 1) * 4]
+                .copy_from_slice(&crc.to_le_bytes());
         }
+        debug_assert_eq!(out.len(), self.compressed_bytes());
         out
     }
 
-    /// Deserializes a segment written by [`to_bytes`](Self::to_bytes) (v2)
-    /// or by a v1 writer.
+    /// Deserializes a segment written by [`to_bytes`](Self::to_bytes).
     ///
-    /// All *structural* header fields are validated (width, counts,
-    /// section sizes, exact total length, entry-point monotonicity). For
-    /// v2, every section is additionally verified against its CRC32C, so
-    /// *any* single-byte corruption yields a typed [`WireError`]; the
-    /// segment loads as [`Integrity::Verified`]. v1 segments carry no
-    /// checksums: they load as [`Integrity::Unverified`], and payload
-    /// corruption there produces wrong values or a clean error on decode,
-    /// never undefined behaviour.
+    /// Every section is verified against its CRC32C, so *any* single-byte
+    /// corruption yields a typed [`WireError`]. All *structural* header
+    /// fields are validated as well (width, counts, section sizes, exact
+    /// total length, entry-point monotonicity).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
         let layout = parse_layout(bytes).map_err(|f| f.error)?;
         if layout.vtype != vtype_tag::<V>() {
@@ -538,8 +491,6 @@ impl<V: Value> Segment<V> {
             exceptions[i] = V::read_le(&bytes[off..]);
             off += w;
         }
-        let integrity =
-            if layout.version == VERSION_V1 { Integrity::Unverified } else { Integrity::Verified };
         Ok(Segment {
             scheme: layout.scheme,
             n: layout.n,
@@ -551,7 +502,6 @@ impl<V: Value> Segment<V> {
             exceptions,
             dict,
             layout: layout.layout,
-            integrity,
         })
     }
 
@@ -568,6 +518,8 @@ mod tests {
     use super::*;
     use crate::pdict::Dictionary;
 
+    include!("../tests/support/reseal.rs");
+
     #[test]
     fn pfor_bytes_roundtrip() {
         let values: Vec<u32> =
@@ -578,7 +530,6 @@ mod tests {
         assert_eq!(bytes[4], VERSION);
         let back = Segment::<u32>::from_bytes(&bytes).unwrap();
         assert_eq!(back, seg);
-        assert_eq!(back.integrity(), Integrity::Verified);
         assert_eq!(back.decompress(), values);
     }
 
@@ -596,19 +547,6 @@ mod tests {
         let dict = Dictionary::new(vec![-7i32, 0, 9]);
         let seg = crate::pdict::compress(&values, &dict);
         let back = Segment::<i32>::from_bytes(&seg.to_bytes()).unwrap();
-        assert_eq!(back.decompress(), values);
-    }
-
-    #[test]
-    fn v1_still_readable_but_unverified() {
-        let values: Vec<u32> = (0..1000).map(|i| i % 97).collect();
-        let seg = crate::pfor::compress(&values, 0, 7);
-        let bytes = seg.to_bytes_v1();
-        assert_eq!(bytes[4], 1);
-        assert_eq!(bytes.len(), seg.compressed_bytes() - CHECKSUM_BYTES);
-        let back = Segment::<u32>::from_bytes(&bytes).unwrap();
-        assert_eq!(back, seg);
-        assert_eq!(back.integrity(), Integrity::Unverified);
         assert_eq!(back.decompress(), values);
     }
 
@@ -655,24 +593,18 @@ mod tests {
     }
 
     #[test]
-    fn payload_corruption_detected_in_v2_not_v1() {
+    fn payload_corruption_detected() {
         let values: Vec<u32> =
             (0..2000).map(|i| if i % 31 == 0 { i * 7919 } else { i % 60 }).collect();
         let seg = crate::pfor::compress(&values, 0, 6);
-        // v2: a flipped code-section byte fails the codes checksum.
-        let mut v2 = seg.to_bytes();
+        // A flipped code-section byte fails the codes checksum.
+        let mut bytes = seg.to_bytes();
         let codes_byte = HEADER_BYTES_V2 + seg.n_blocks() * 4 + 5;
-        v2[codes_byte] ^= 0x10;
-        match Segment::<u32>::from_bytes(&v2).unwrap_err() {
+        bytes[codes_byte] ^= 0x10;
+        match Segment::<u32>::from_bytes(&bytes).unwrap_err() {
             WireError::Checksum { section, .. } => assert_eq!(section, "codes"),
             other => panic!("expected checksum error, got {other:?}"),
         }
-        // v1: the same flip is invisible at load time (Unverified).
-        let mut v1 = seg.to_bytes_v1();
-        v1[HEADER_BYTES + seg.n_blocks() * 4 + 5] ^= 0x10;
-        let loaded = Segment::<u32>::from_bytes(&v1).unwrap();
-        assert_eq!(loaded.integrity(), Integrity::Unverified);
-        assert_ne!(loaded.decompress(), values);
     }
 
     #[test]
@@ -682,7 +614,6 @@ mod tests {
         let bytes = seg.to_bytes();
         let ok = verify(&bytes).unwrap();
         assert_eq!(ok.version, VERSION);
-        assert_eq!(ok.integrity, Integrity::Verified);
         assert_eq!(ok.n, 700);
 
         // Corrupt one exception... there are none here; corrupt the header.
@@ -699,11 +630,6 @@ mod tests {
         let f = verify(&bad).unwrap_err();
         assert_eq!(f.offset, deltas_off);
         assert!(matches!(f.error, WireError::Checksum { section: "delta bases", .. }));
-
-        // v1 verifies as Unverified.
-        let ok = verify(&seg.to_bytes_v1()).unwrap();
-        assert_eq!(ok.version, 1);
-        assert_eq!(ok.integrity, Integrity::Unverified);
     }
 
     #[test]
@@ -711,16 +637,17 @@ mod tests {
         let seg = crate::pfor::compress(&(0..300u32).collect::<Vec<_>>(), 0, 9);
         let mut bytes = seg.to_bytes();
         bytes[4] = 1;
-        // Parsed as v1 the sections shift by CHECKSUM_BYTES, so the exact-
-        // length check (or an interior structural check) must fire.
-        assert!(Segment::<u32>::from_bytes(&bytes).is_err());
+        assert_eq!(verify(&bytes).unwrap_err(), fail(4, WireError::BadVersion(1)));
+        assert_eq!(Segment::<u32>::from_bytes(&bytes).unwrap_err(), WireError::BadVersion(1));
     }
 
-    /// Mutates one field of a valid v1 segment (no checksums in the way)
-    /// and asserts the expected structural error fires.
+    /// Mutates one field of a valid segment, reseals its checksums so only
+    /// the structural checks stand in the way, and asserts the expected
+    /// error fires from both `verify` and `from_bytes`.
     fn expect_corrupt(base: &[u8], mutate: impl FnOnce(&mut Vec<u8>), want: WireError) {
         let mut bytes = base.to_vec();
         mutate(&mut bytes);
+        assert_eq!(reseal(&mut bytes).unwrap_err().error, want);
         assert_eq!(Segment::<u32>::from_bytes(&bytes).unwrap_err(), want);
     }
 
@@ -728,7 +655,7 @@ mod tests {
     fn every_structural_header_branch_fires() {
         let values: Vec<u32> =
             (0..300).map(|i| if i % 9 == 0 { i << 20 } else { i % 32 }).collect();
-        let base = crate::pfor::compress(&values, 0, 5).to_bytes_v1();
+        let base = crate::pfor::compress(&values, 0, 5).to_bytes();
         let wr32 =
             |b: &mut Vec<u8>, off: usize, v: u32| b[off..off + 4].copy_from_slice(&v.to_le_bytes());
 
@@ -762,13 +689,13 @@ mod tests {
         // Entry point 0's cumulative count pushed above entry point 1's.
         expect_corrupt(
             &base,
-            |b| wr32(b, HEADER_BYTES, 100 << 7),
+            |b| wr32(b, HEADER_BYTES_V2, 100 << 7),
             WireError::Corrupt("entry points not monotone"),
         );
         // Entry point 1 claiming >128 exceptions for block 0.
         expect_corrupt(
             &base,
-            |b| wr32(b, HEADER_BYTES + 4, 200 << 7),
+            |b| wr32(b, HEADER_BYTES_V2 + 4, 200 << 7),
             WireError::Corrupt("block claims more exceptions than values"),
         );
     }
@@ -779,34 +706,31 @@ mod tests {
         let values: Vec<u32> = (0..128).map(|i| if i % 11 == 0 { i << 20 } else { i }).collect();
         let seg = crate::pfor::compress(&values, 0, 7);
         let n_exc = seg.exception_count() as u32;
-        let mut bytes = seg.to_bytes_v1();
-        bytes[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&((n_exc + 1) << 7).to_le_bytes());
-        assert_eq!(
-            Segment::<u32>::from_bytes(&bytes).unwrap_err(),
-            WireError::Corrupt("entry point past the exception section")
+        expect_corrupt(
+            &seg.to_bytes(),
+            |b| b[HEADER_BYTES_V2..][..4].copy_from_slice(&((n_exc + 1) << 7).to_le_bytes()),
+            WireError::Corrupt("entry point past the exception section"),
         );
     }
 
     #[test]
     fn pdict_without_dictionary_rejected() {
-        // Hand-built v1 PDICT header: n=128, n_dict=0, consistent length,
-        // so only the scheme invariant can reject it.
+        // Hand-built PDICT header: n=128, n_dict=0, consistent length,
+        // checksums sealed below, so only the scheme invariant can reject it.
         let b = 4u32;
         let codes_words = scc_bitpack::packed_words(128, b);
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&[VERSION_V1, 3, 1, b as u8]);
+        bytes.extend_from_slice(&[VERSION, 3, 1, b as u8]);
         bytes.extend_from_slice(&128u32.to_le_bytes()); // n
         bytes.extend_from_slice(&0u32.to_le_bytes()); // n_exc
         bytes.extend_from_slice(&0u32.to_le_bytes()); // n_dict
         bytes.extend_from_slice(&(codes_words as u32).to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes()); // base
+        bytes.extend_from_slice(&[0u8; CHECKSUM_BYTES]);
         bytes.extend_from_slice(&0u32.to_le_bytes()); // 1 entry point
         bytes.resize(bytes.len() + codes_words * 4, 0); // codes
-        assert_eq!(
-            Segment::<u32>::from_bytes(&bytes).unwrap_err(),
-            WireError::Corrupt("PDICT segment without a dictionary")
-        );
+        expect_corrupt(&bytes, |_| {}, WireError::Corrupt("PDICT segment without a dictionary"));
     }
 
     #[test]
@@ -828,7 +752,6 @@ mod tests {
             let report = verify(&bytes).unwrap();
             assert_eq!(report.version, VERSION_V3);
             assert_eq!(report.layout, SegLayout::Vertical);
-            assert_eq!(report.integrity, Integrity::Verified);
             let back = Segment::<u32>::from_bytes(&bytes).unwrap();
             assert_eq!(&back, seg);
             assert_eq!(back.layout(), SegLayout::Vertical);
@@ -844,11 +767,10 @@ mod tests {
         let seg = crate::pfor::compress_in(&values, 0, 6, Default::default(), SegLayout::Vertical);
         let bytes = seg.to_bytes();
         // Flipping v3 -> v2, or clearing the layout bit, fails the header
-        // CRC before any field is trusted. Flipping v3 -> v1 downgrades to
-        // the checksum-less format, where the set layout bit itself is the
-        // tripwire: v1 readers reject it as an unknown scheme tag.
+        // CRC before any field is trusted. Flipping v3 -> 1 names a version
+        // no reader accepts.
         for (off, val, expect_crc) in
-            [(4usize, VERSION, true), (4, VERSION_V1, false), (5, seg.scheme().tag(), true)]
+            [(4usize, VERSION, true), (4, 1, false), (5, seg.scheme().tag(), true)]
         {
             let mut bad = bytes.clone();
             bad[off] = val;
@@ -859,7 +781,7 @@ mod tests {
                     "off {off}: got {err:?}"
                 );
             } else {
-                assert!(matches!(err, WireError::BadScheme(0x81)), "off {off}: got {err:?}");
+                assert_eq!(err, WireError::BadVersion(1));
             }
         }
     }
@@ -874,19 +796,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "vertical segments require wire format v3")]
-    fn vertical_to_v1_is_refused() {
-        let seg =
-            crate::pfor::compress_in(&[1u32, 2, 3], 0, 2, Default::default(), SegLayout::Vertical);
-        let _ = seg.to_bytes_v1();
-    }
-
-    #[test]
     fn future_version_rejected_with_typed_error() {
         let seg = crate::pfor::compress(&[1u32, 2, 3], 0, 2);
-        let mut bytes = seg.to_bytes_v1(); // no header CRC in the way
-        bytes[4] = 4;
-        assert_eq!(Segment::<u32>::from_bytes(&bytes).unwrap_err(), WireError::BadVersion(4));
+        expect_corrupt(&seg.to_bytes(), |b| b[4] = 4, WireError::BadVersion(4));
     }
 
     #[test]

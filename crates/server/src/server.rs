@@ -24,7 +24,7 @@
 //! load balancer can stop routing to a draining node before its
 //! listener disappears.
 //!
-//! Integrity failures are graded by trust in the stream: a frame whose
+//! Corrupt frames are graded by trust in the stream: a frame whose
 //! *checksum* fails (or that is over-long or torn) gets a
 //! [`ErrorCode::BadFrame`] answer and the connection is closed, since
 //! frame sync can no longer be assumed; a frame that checksums cleanly

@@ -16,7 +16,6 @@
 //!                [--stats-json <out.json>] [--client-metrics-json <out.json>]
 //!                [--report-json <out.json>] [--shutdown] [--force]
 //!                [--trace-json <trace.json>] [--trace-sample R]
-//!                [--cluster --topology <file>]
 //! scc cluster-serve --topology <file> --node <index> [--rows R] [--workers N]
 //! scc top        [--addr A] [--interval-ms I] [--iterations N] [--no-clear]
 //! ```
@@ -29,9 +28,8 @@
 //! nonzero exit. `scc verify` checks each segment's checksums without
 //! decompressing and reports the first corrupt byte offset.
 
-use scc::core::{
-    analyze, compress_with_plan, frame, wire, AnalyzeOpts, Error, Integrity, Plan, Segment, Value,
-};
+use scc::core::wire::{self, WireError};
+use scc::core::{analyze, compress_with_plan, frame, AnalyzeOpts, Error, Plan, Segment, Value};
 use std::fs;
 use std::process::ExitCode;
 
@@ -61,8 +59,7 @@ fn die(msg: &str) -> ExitCode {
          [--addr A] [--requests N] [--threads T] [--rows R] [--corrupt] [--chaos] \
          [--chaos-seed S] [--retry-attempts N] [--retry-deadline-ms D] \
          [--stats-json J] [--client-metrics-json J] \
-         [--report-json J] [--shutdown] [--force] [--trace-json J] [--trace-sample R] \
-         [--cluster --topology F]\n  \
+         [--report-json J] [--shutdown] [--force] [--trace-json J] [--trace-sample R]\n  \
          scc cluster-serve --topology F --node I [--rows R] [--workers N]\n  \
          scc top        [--addr A] [--interval-ms I] [--iterations N] [--no-clear]\n  \
          (T = u32|i32|u64|i64, default u32)"
@@ -158,14 +155,31 @@ fn cmd_compress<V: Value>(
     Ok(())
 }
 
-/// Walks the `SCCF` container. Every structural defect — a file too short
-/// for the segment count, a length prefix past EOF, a segment body the
-/// wire parser rejects — comes back as a typed [`Error`], never a panic.
-fn read_segments<V: Value>(bytes: &[u8]) -> Result<Vec<Segment<V>>, Error> {
+/// The `SCCF` preamble's segment count (bytes 5..9).
+fn segment_count(bytes: &[u8]) -> Result<usize, Error> {
     if bytes.len() < 9 {
         return Err(Error::Truncated { offset: 5, need: 4, have: bytes.len().saturating_sub(5) });
     }
-    let n_segs = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+    Ok(u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize)
+}
+
+/// The container ends exactly where its last declared segment does: a
+/// count that is too small, or bytes appended after the last segment, are
+/// corruption rather than data to ignore.
+fn expect_end(bytes: &[u8], pos: usize) -> Result<(), Error> {
+    if pos == bytes.len() {
+        Ok(())
+    } else {
+        Err(WireError::Corrupt("trailing bytes after the last segment").into())
+    }
+}
+
+/// Walks the `SCCF` container. Every structural defect — a file too short
+/// for the segment count, a length prefix past EOF, bytes past the last
+/// segment, a segment body the wire parser rejects — comes back as a
+/// typed [`Error`], never a panic.
+fn read_segments<V: Value>(bytes: &[u8]) -> Result<Vec<Segment<V>>, Error> {
+    let n_segs = segment_count(bytes)?;
     let mut pos = 9usize;
     // The count is untrusted input: grow the vec lazily rather than
     // pre-reserving an attacker-chosen capacity.
@@ -174,6 +188,7 @@ fn read_segments<V: Value>(bytes: &[u8]) -> Result<Vec<Segment<V>>, Error> {
         let seg_bytes = frame::take_len_prefixed(bytes, &mut pos)?;
         segs.push(Segment::<V>::try_from_bytes(seg_bytes)?);
     }
+    expect_end(bytes, pos)?;
     Ok(segs)
 }
 
@@ -194,14 +209,9 @@ fn cmd_decompress<V: Value>(bytes: &[u8], out_path: &str) -> Result<(), String> 
 /// offset of the first corrupt byte range. Type-agnostic — the width is
 /// read from each segment's own header.
 fn cmd_verify(bytes: &[u8]) -> Result<(), String> {
-    if bytes.len() < 9 {
-        return Err(Error::Truncated { offset: 5, need: 4, have: bytes.len().saturating_sub(5) }
-            .to_string());
-    }
-    let n_segs = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+    let n_segs = segment_count(bytes).map_err(|e| e.to_string())?;
     let mut pos = 9usize;
     let mut corrupt = 0usize;
-    let mut unverified = 0usize;
     let mut verified = 0usize;
     for i in 0..n_segs {
         let data_at = pos + frame::LEN_PREFIX_BYTES;
@@ -215,18 +225,9 @@ fn cmd_verify(bytes: &[u8]) -> Result<(), String> {
         };
         match wire::verify(seg_bytes) {
             Ok(r) => {
-                let tag = match r.integrity {
-                    Integrity::Verified => {
-                        verified += 1;
-                        "verified"
-                    }
-                    Integrity::Unverified => {
-                        unverified += 1;
-                        "unverified (v1: no checksums)"
-                    }
-                };
+                verified += 1;
                 println!(
-                    "  seg {i}: v{} {:?} {} n={} {} bytes - {tag}",
+                    "  seg {i}: v{} {:?} {} n={} {} bytes - verified",
                     r.version,
                     r.scheme,
                     r.layout.name(),
@@ -240,14 +241,12 @@ fn cmd_verify(bytes: &[u8]) -> Result<(), String> {
             }
         }
     }
-    println!(
-        "{n_segs} segment(s): {verified} verified, {unverified} unverified, {corrupt} corrupt"
-    );
+    println!("{n_segs} segment(s): {verified} verified, {corrupt} corrupt");
     if corrupt > 0 {
-        Err(format!("{corrupt} corrupt segment(s)"))
-    } else {
-        Ok(())
+        return Err(format!("{corrupt} corrupt segment(s)"));
     }
+    // Every segment framed cleanly, so the walk knows where the file ends.
+    expect_end(bytes, pos).map_err(|e| e.to_string())
 }
 
 fn cmd_inspect<V: Value>(bytes: &[u8]) -> Result<(), String> {
@@ -541,10 +540,7 @@ fn cmd_cluster_serve(args: &[String]) -> Result<(), String> {
 
 /// `scc loadgen`: closed-loop load against a running `scc serve`,
 /// verifying every response byte-exactly against a local replica of
-/// the demo table (`--rows` must match the server's). With `--cluster
-/// --topology <file>`, drives a whole shard cluster through the
-/// scatter-gather coordinator instead, byte-verifying merged results
-/// against the same local replica.
+/// the demo table (`--rows` must match the server's).
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     let mut cfg = scc::server::LoadgenConfig::default();
     let mut rows = 50_000usize;
@@ -557,14 +553,10 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     let mut chaos_seed: Option<u64> = None;
     let mut trace_json: Option<String> = None;
     let mut trace_sample: f64 = 1.0;
-    let mut cluster = false;
-    let mut topology_path: Option<String> = None;
     let mut p = OptParser::new(args);
     while let Some(flag) = p.next_flag() {
         match flag {
             "--addr" => cfg.addr = p.value(flag)?.to_string(),
-            "--cluster" => cluster = true,
-            "--topology" => topology_path = Some(p.value(flag)?.to_string()),
             "--requests" => cfg.requests = p.parse(flag)?,
             "--threads" => cfg.threads = p.parse(flag)?,
             "--scan-threads" => cfg.scan_threads = p.parse(flag)?,
@@ -611,58 +603,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     }
     if rows == 0 || cfg.threads == 0 {
         return Err("--rows and --threads must be positive".into());
-    }
-    if cluster {
-        let topology_path = topology_path.ok_or("--cluster needs --topology <file>")?;
-        if cfg.corrupt || stats_json.is_some() || trace_json.is_some() {
-            return Err("--corrupt/--stats-json/--trace-json are single-node options".into());
-        }
-        let topology = scc::cluster::Topology::load(&topology_path).map_err(|e| e.to_string())?;
-        let table = scc::server::demo_table(rows);
-        let manifest = topology.manifest_for("demo", rows, table.seg_rows());
-        let mut coord = scc::cluster::Coordinator::new(
-            topology,
-            scc::cluster::ClusterConfig {
-                retry: cfg.retry,
-                chaos: cfg.chaos,
-                shard_threads: cfg.scan_threads,
-                ..Default::default()
-            },
-        );
-        coord.register(manifest);
-        let lcfg = scc::cluster::ClusterLoadgenConfig {
-            requests: cfg.requests,
-            threads: cfg.threads,
-            seed: cfg.seed,
-        };
-        let report = scc::cluster::run_cluster_loadgen(&coord, &table, &lcfg)?;
-        println!("{}", report.summary());
-        if let Some(path) = report_json {
-            fs::write(&path, report.to_json().pretty() + "\n")
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            println!("report written to {path}");
-        }
-        if let Some(path) = client_metrics_json {
-            let json = scc::obs::export::to_json(scc::obs::global()).pretty();
-            fs::write(&path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-            println!("client metrics written to {path}");
-        }
-        if shutdown {
-            let acked = coord.shutdown_nodes(force);
-            println!(
-                "{acked} node(s) acknowledged shutdown ({})",
-                if force { "forced" } else { "graceful drain" }
-            );
-        }
-        if report.errors > 0 || report.verify_failures > 0 {
-            return Err(format!(
-                "{} failed and {} unverified response(s)",
-                report.errors, report.verify_failures
-            ));
-        }
-        return Ok(());
-    } else if topology_path.is_some() {
-        return Err("--topology needs --cluster".into());
     }
     let replica = scc::server::demo_table(rows);
     let report = scc::server::run_loadgen(&cfg, &replica)?;

@@ -269,3 +269,125 @@ fn bad_inputs_fail_cleanly() {
     assert!(!st.status.success());
     let _ = std::fs::remove_file(input);
 }
+
+#[test]
+fn container_must_end_at_its_last_segment() {
+    let compressed = make_compressed("len");
+    let good = std::fs::read(&compressed).unwrap();
+    assert_eq!(u32::from_le_bytes(good[5..9].try_into().unwrap()), 1, "one segment");
+    let mut no_segments = good.clone();
+    no_segments[5..9].copy_from_slice(&0u32.to_le_bytes());
+    let mut appended = good.clone();
+    appended.extend_from_slice(&[0xAB; 4]);
+    let bad = tmp("len_bad.scc");
+    let out = tmp("len_out.bin");
+    for (case, bytes) in [("count 0", no_segments), ("4 bytes appended", appended)] {
+        std::fs::write(&bad, &bytes).unwrap();
+        for cmd in ["verify", "inspect", "decompress"] {
+            let st =
+                scc().args([cmd, bad.to_str().unwrap(), out.to_str().unwrap()]).output().unwrap();
+            let stderr = String::from_utf8_lossy(&st.stderr);
+            assert!(!st.status.success(), "{cmd} on {case} should fail");
+            assert!(!stderr.contains("panicked"), "{cmd} on {case} panicked: {stderr}");
+            assert!(stderr.contains("trailing bytes after the last"), "{cmd} on {case}: {stderr}");
+        }
+        assert!(!out.exists(), "decompress on {case} wrote output");
+    }
+    for p in [bad, compressed] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// Kills and reaps every child on drop, so a failing test leaves no
+/// server processes behind.
+struct Children(Vec<std::process::Child>);
+
+impl Drop for Children {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+#[test]
+fn cluster_answers_byte_identically_after_a_node_is_sigkilled() {
+    use scc::cluster::{ClusterConfig, Coordinator, Topology};
+    use scc::storage::{stats_handle, Scan, ScanOptions};
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let rows = 20_000;
+    // Free local ports: bind, note the address, release.
+    let nodes: Vec<String> = (0..3)
+        .map(|_| {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().to_string()
+        })
+        .collect();
+    let topology = Topology::new(nodes.clone());
+    let topology_path = tmp("cluster_topology.txt");
+    std::fs::write(&topology_path, topology.to_file_string()).unwrap();
+
+    let mut children = Children(
+        (0..nodes.len())
+            .map(|node| {
+                scc()
+                    .args(["cluster-serve", "--topology", topology_path.to_str().unwrap()])
+                    .args(["--node", &node.to_string(), "--rows", &rows.to_string()])
+                    .args(["--workers", "2"])
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::null())
+                    .spawn()
+                    .unwrap()
+            })
+            .collect(),
+    );
+    let started = Instant::now();
+    for (node, addr) in nodes.iter().enumerate() {
+        while std::net::TcpStream::connect(addr).is_err() {
+            let exited = children.0[node].try_wait().unwrap();
+            assert!(exited.is_none(), "node {node} exited before listening: {exited:?}");
+            assert!(started.elapsed() < Duration::from_secs(30), "node {node} never listened");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    let table = scc::server::demo_table(rows);
+    let manifest = topology.manifest_for("demo", rows, table.seg_rows());
+    let mut coord = Coordinator::new(topology, ClusterConfig::default());
+    coord.register(manifest.clone());
+    let columns = ["key", "val", "flag"];
+    let oracle = scc::engine::ops::collect(&mut Scan::new(
+        std::sync::Arc::clone(&table),
+        &columns,
+        ScanOptions::default(),
+        stats_handle(),
+        None,
+    ));
+    // A read spanning the end of a partition node 1 is primary for.
+    let p = manifest.primary.iter().position(|&n| n == 1).expect("node 1 is a primary");
+    let span_start = manifest.bounds[p].1 - 100;
+    let span_len = 200.min(rows - span_start);
+
+    for i in 0..8 {
+        if i == 3 {
+            children.0[1].kill().unwrap();
+            children.0[1].wait().unwrap();
+        }
+        let (merged, rows_seen) =
+            coord.scan("demo", &columns, None).unwrap_or_else(|e| panic!("scan {i}: {e}"));
+        assert_eq!(rows_seen as usize, rows, "scan {i}");
+        assert_eq!(merged, oracle, "scan {i} diverged from the local scan");
+        for (col, column) in columns.iter().enumerate() {
+            let want = table.try_read_rows(col, span_start, span_len).unwrap();
+            let got = coord
+                .segment_range("demo", column, span_start as u64, span_len as u32, i % 2 == 1)
+                .unwrap_or_else(|e| panic!("read {i} of {column}: {e}"));
+            assert_eq!(got, want, "read {i} of {column} diverged");
+        }
+    }
+    drop(children);
+    let _ = std::fs::remove_file(topology_path);
+}

@@ -1,14 +1,18 @@
 //! Corruption sweep: the decode path must never panic on damaged input.
 //!
-//! For v2 segments every byte of the file is covered by one of the six
-//! section checksums (the checksum block itself is covered by virtue of
-//! being compared against recomputed values), so *every* single-byte flip
-//! must surface as a typed error from `try_from_bytes` / `wire::verify`.
-//! For legacy v1 segments a flip may go undetected — that is the
-//! documented gap v2 closes — but it must still never panic.
+//! Every byte of a segment is covered by one of the six section
+//! checksums (the checksum block itself is covered by virtue of being
+//! compared against recomputed values), so *every* single-byte flip must
+//! surface as a typed error from `try_from_bytes` / `wire::verify`. Behind
+//! the checksums, the structural checks and the decoder must still hold
+//! when a flip is *resealed* (its CRCs recomputed, as a crafted file
+//! would be): typed error or values, never a panic.
 
-use scc::core::{pdict, pfor, pfordelta, wire, Dictionary, Layout, Segment, Value};
+use scc::core::wire::{verify, VerifyFailure, VerifyReport, WireError};
+use scc::core::{pdict, pfor, pfordelta, Dictionary, Layout, Segment, Value};
 use scc::storage::{FaultPlan, FaultyDisk, ReadOutcome};
+
+include!("../crates/core/tests/support/reseal.rs");
 
 /// One segment per (scheme, exception-rate) cell of the sweep matrix.
 fn corpus_u32() -> Vec<(&'static str, Vec<u8>)> {
@@ -65,14 +69,14 @@ fn sweep_flips(bytes: &[u8], mut check: impl FnMut(usize, u8, &[u8])) {
 
 fn assert_flip_detected<V: Value>(label: &str, bytes: &[u8]) {
     assert!(Segment::<V>::try_from_bytes(bytes).is_ok(), "{label}: pristine decode");
-    assert!(wire::verify(bytes).is_ok(), "{label}: pristine verify");
+    assert!(verify(bytes).is_ok(), "{label}: pristine verify");
     sweep_flips(bytes, |i, mask, corrupted| {
         assert!(
             Segment::<V>::try_from_bytes(corrupted).is_err(),
             "{label}: flip of byte {i} (mask {mask:#04x}) decoded without error"
         );
         assert!(
-            wire::verify(corrupted).is_err(),
+            verify(corrupted).is_err(),
             "{label}: flip of byte {i} (mask {mask:#04x}) verified without error"
         );
     });
@@ -97,43 +101,51 @@ fn every_truncation_is_detected() {
                 "{label}: truncation to {cut} bytes decoded without error"
             );
             assert!(
-                wire::verify(&bytes[..cut]).is_err(),
+                verify(&bytes[..cut]).is_err(),
                 "{label}: truncation to {cut} bytes verified without error"
             );
         }
     }
 }
 
-#[test]
-fn v1_flips_are_harmless_even_when_undetected() {
-    let values: Vec<u32> = (0..640).map(|i| if i % 9 == 0 { i << 20 } else { i % 32 }).collect();
-    let bytes = pfor::compress(&values, 0, 5).to_bytes_v1();
-    assert_eq!(bytes[4], 1);
-    let mut undetected = 0usize;
-    sweep_flips(&bytes, |i, mask, corrupted| {
-        // v1 has no checksums: a flip may parse. It must then either fail
-        // typed or decode to (possibly wrong) values — never panic.
-        let owned = corrupted.to_vec();
+/// Flips every byte of `bytes`, reseals the checksums and drives any
+/// segment that then loads through the typed range decode. Returns how
+/// many flips loaded: those reached the decoder with garbage inside.
+fn resealed_flips_loaded<V: Value>(label: &str, bytes: &[u8]) -> usize {
+    let mut loaded = 0usize;
+    sweep_flips(bytes, |i, mask, corrupted| {
+        let mut owned = corrupted.to_vec();
         let outcome = std::panic::catch_unwind(move || {
-            if let Ok(seg) = Segment::<u32>::try_from_bytes(&owned) {
-                let _ = seg.decompress();
-                true
-            } else {
-                false
-            }
+            let sealed = reseal(&mut owned).is_ok();
+            let seg = Segment::<V>::try_from_bytes(&owned).ok()?;
+            let mut all = vec![V::default(); seg.len()];
+            let _ = seg.try_decode_range(0, &mut all);
+            Some(sealed)
         });
         match outcome {
-            Ok(parsed) => {
-                if parsed {
-                    undetected += 1;
-                }
+            Ok(None) => {}
+            Ok(Some(sealed)) => {
+                assert!(sealed, "{label}: flip of byte {i} (mask {mask:#04x}) loads unverified");
+                loaded += 1;
             }
-            Err(_) => panic!("v1 flip of byte {i} (mask {mask:#04x}) panicked"),
+            Err(_) => panic!("{label}: resealed flip of byte {i} (mask {mask:#04x}) panicked"),
         }
     });
-    // The gap is real: plenty of v1 flips sail through parsing, which is
-    // exactly why v2 checksums exist.
-    assert!(undetected > 0, "expected some undetected v1 flips");
+    loaded
+}
+
+#[test]
+fn resealed_flips_decode_or_fail_typed() {
+    let mut loaded = 0;
+    for (label, bytes) in corpus_u32() {
+        loaded += resealed_flips_loaded::<u32>(label, &bytes);
+    }
+    for (label, bytes) in corpus_i64() {
+        loaded += resealed_flips_loaded::<i64>(label, &bytes);
+    }
+    // Payload flips pass every structural check once resealed, so the
+    // sweep really does reach the decoder.
+    assert!(loaded > 0, "expected some resealed flips to load");
 }
 
 #[test]
@@ -157,13 +169,10 @@ fn truncated_sections_surface_typed_errors_not_panics() {
         Err(UnpackError::WidthOutOfRange { .. })
     ));
 
-    // Whole-pipeline sweep: truncate v1 and v2 byte streams at every
+    // Whole-pipeline sweep: truncate v2 and v3 byte streams at every
     // length and drive any segment that still parses through the typed
     // block/range decode entry points. Nothing may panic.
-    let mut streams = corpus_u32();
-    let values: Vec<u32> = (0..640).map(|i| if i % 9 == 0 { i << 20 } else { i % 32 }).collect();
-    streams.push(("pfor/u32/v1", pfor::compress(&values, 0, 5).to_bytes_v1()));
-    for (label, bytes) in streams {
+    for (label, bytes) in corpus_u32() {
         for cut in 0..bytes.len() {
             let owned = bytes[..cut].to_vec();
             let outcome = std::panic::catch_unwind(move || {
@@ -197,7 +206,7 @@ fn faulty_disk_corrupts_real_bytes_that_checksums_catch() {
         (ReadOutcome::Corrupted(x), ReadOutcome::Corrupted(y)) => {
             assert_eq!(x, y, "same seed, same damage");
             assert_ne!(x, payload);
-            assert!(wire::verify(&x).is_err(), "checksums must catch the injected flip");
+            assert!(verify(&x).is_err(), "checksums must catch the injected flip");
         }
         other => panic!("bit_flip=1.0 must corrupt: {other:?}"),
     }

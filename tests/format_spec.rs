@@ -4,7 +4,7 @@
 
 use scc::core::{crc32c, pfor, pfordelta, Layout, Segment};
 
-/// Sections start after the 32-byte header plus the 24-byte v2 checksum
+/// Sections start after the 32-byte header plus the 24-byte checksum
 /// block.
 const SECTIONS: usize = 56;
 
@@ -52,20 +52,6 @@ fn v2_checksum_block_matches_recomputed_crcs() {
     assert_eq!(rd32(&bytes, 48), crc32c(&bytes[codes]), "codes checksum");
     assert_eq!(rd32(&bytes, 52), crc32c(&bytes[exc.clone()]), "exceptions checksum");
     assert_eq!(exc.end, bytes.len(), "sections cover the file exactly");
-}
-
-#[test]
-fn v1_writer_still_produces_the_legacy_layout() {
-    let values: Vec<u32> = (0..300).map(|i| i % 32).collect();
-    let seg = pfor::compress(&values, 0, 5);
-    let bytes = seg.to_bytes_v1();
-    assert_eq!(bytes[4], 1, "version");
-    let n_blocks = 300usize.div_ceil(128);
-    let codes_words = scc::bitpack::packed_words(300, 5);
-    // v1 sections start right after the 32-byte header: no checksums.
-    assert_eq!(bytes.len(), 32 + n_blocks * 4 + codes_words * 4);
-    let reloaded = Segment::<u32>::from_bytes(&bytes).unwrap();
-    assert_eq!(reloaded.decompress(), values);
 }
 
 #[test]
