@@ -301,9 +301,10 @@ mod tests {
         assert_eq!(seg.exception_count(), 0);
         assert_eq!(seg.try_get(7), Ok(values[7]));
         // Plant an out-of-range dictionary index at position 7.
-        let mut codes = scc_bitpack::unpack_vec(&seg.codes, seg.b, seg.n);
+        let mut codes = scc_bitpack::unpack_vec(seg.codes(), seg.b, seg.n);
         codes[7] = 6;
-        seg.codes = scc_bitpack::pack_vec(&codes, seg.b);
+        let words = seg.code_words.clone();
+        scc_bitpack::pack(&codes, seg.b, &mut seg.image[words]);
         match seg.try_get(7) {
             Err(Error::CorruptDictCode { index: 7, code: 6, dict_len: 5 }) => {}
             other => panic!("expected CorruptDictCode, got {other:?}"),

@@ -92,8 +92,13 @@ pub struct Segment<V: Value> {
     /// PFOR-DELTA only: value of the element preceding each block (the
     /// running-sum restart). `delta_bases[0]` is the segment seed.
     pub(crate) delta_bases: Vec<V>,
-    /// Bit-packed codes, [`scc_bitpack`] group layout.
-    pub(crate) codes: Vec<u32>,
+    /// The checksummed wire image ([`crate::wire`]) that
+    /// [`Segment::wire_bytes`] lends out, from word `wire_at` on. Codes are
+    /// read in place from it; the other sections are kept decoded too.
+    pub(crate) image: Box<[u32]>,
+    pub(crate) wire_at: usize,
+    /// Word range of the bit-packed code section inside `image`.
+    pub(crate) code_words: std::ops::Range<usize>,
     /// Exception values in positional order.
     pub(crate) exceptions: Vec<V>,
     /// PDICT only: the dictionary (codes index into it).
@@ -209,6 +214,12 @@ impl<V: Value> Segment<V> {
         (e.patch_start(), start, end - start)
     }
 
+    /// The bit-packed code section, in place in the wire image.
+    #[inline]
+    pub(crate) fn codes(&self) -> &[u32] {
+        &self.image[self.code_words.clone()]
+    }
+
     /// Word offset of block `blk` in the code section.
     #[inline]
     pub(crate) fn block_word_offset(&self, blk: usize) -> usize {
@@ -224,9 +235,9 @@ impl<V: Value> Segment<V> {
     /// vectorized path.
     #[inline]
     pub(crate) fn block_codes(&self, blk: usize, len: usize) -> Result<&[u32], Error> {
-        let off = self.block_word_offset(blk);
+        let off = self.code_words.start + self.block_word_offset(blk);
         let need = packed_words(len, self.b);
-        match self.codes.get(off..) {
+        match self.image.get(off..self.code_words.end) {
             Some(codes) if codes.len() >= need => Ok(codes),
             other => {
                 Err(Error::CorruptCodes { block: blk, need, have: other.map_or(0, <[u32]>::len) })
@@ -453,11 +464,11 @@ impl<V: Value> Segment<V> {
         let word_base = self.block_word_offset(blk);
         let blk_len = self.block_len(blk);
         let code_at = |p: u32| match self.layout {
-            Layout::Horizontal => get_one(&self.codes[word_base..], self.b, p as usize),
+            Layout::Horizontal => get_one(&self.codes()[word_base..], self.b, p as usize),
             // The vertical accessor needs the block length to tell a full
             // (vertical) block from a horizontal tail block.
             Layout::Vertical => {
-                scc_bitpack::vert::get_one(&self.codes[word_base..], self.b, blk_len, p as usize)
+                scc_bitpack::vert::get_one(&self.codes()[word_base..], self.b, blk_len, p as usize)
             }
         };
         // Walk the linked list until we reach or pass x.
@@ -507,7 +518,7 @@ impl<V: Value> Segment<V> {
         (
             crate::wire::HEADER_BYTES_V2,
             self.entries.len() * 4,
-            self.codes.len() * 4,
+            self.code_words.len() * 4,
             self.exceptions.len() * w,
             self.delta_bases.len() * w + self.dict.len() * w,
         )
@@ -515,8 +526,7 @@ impl<V: Value> Segment<V> {
 
     /// Total serialized size in bytes.
     pub fn compressed_bytes(&self) -> usize {
-        let (h, e, c, x, d) = self.section_bytes();
-        h + e + c + x + d
+        self.wire_bytes().len()
     }
 
     /// Size and composition report.
@@ -584,8 +594,8 @@ impl<'a, V: Value> IntoIterator for &'a Segment<V> {
 
 /// Internal builder shared by the three encoders: takes the unpacked codes
 /// and the sorted *data-driven* miss positions, inserts compulsory
-/// exceptions, writes the per-block linked lists and entry points, packs
-/// the codes and assembles the [`Segment`].
+/// exceptions, writes the per-block linked lists and entry points, and
+/// seals the [`Segment`]'s wire image with the codes packed into it.
 pub(crate) struct SegmentAssembly<'a, V: Value> {
     pub scheme: SchemeKind,
     pub b: u32,
@@ -641,22 +651,26 @@ impl<'a, V: Value> SegmentAssembly<'a, V> {
             exceptions.len() as u64,
             self.b,
         );
-        let codes = match self.layout {
-            Layout::Horizontal => scc_bitpack::pack_vec(self.codes, self.b),
-            Layout::Vertical => scc_bitpack::vert::pack_vec(self.codes, self.b),
-        };
-        Segment {
+        let (codes, b, layout) = (&*self.codes, self.b, self.layout);
+        let mut seg = Segment {
             scheme: self.scheme,
             n,
-            b: self.b,
+            b,
             base: self.base,
             entries,
             delta_bases: self.delta_bases,
-            codes,
+            image: Box::default(),
+            wire_at: 0,
+            code_words: 0..0,
             exceptions,
             dict: self.dict,
-            layout: self.layout,
-        }
+            layout,
+        };
+        seg.seal(packed_words(n, b), |out| match layout {
+            Layout::Horizontal => scc_bitpack::pack(codes, b, out),
+            Layout::Vertical => scc_bitpack::vert::pack(codes, b, out),
+        });
+        seg
     }
 }
 
@@ -673,8 +687,8 @@ mod tests {
     fn truncated_codes_error_instead_of_panicking() {
         let values: Vec<u32> = (0..300u32).map(|i| i * 3 + (i % 7) * 1000).collect();
         let mut seg = crate::pfor::compress(&values, 0, 8);
-        assert!(seg.codes.len() > 2, "test needs a non-trivial code section");
-        seg.codes.truncate(seg.codes.len() / 2);
+        assert!(seg.code_words.len() > 2, "test needs a non-trivial code section");
+        seg.code_words.end -= seg.code_words.len() / 2;
 
         let mut out = vec![0u32; 300];
         let err = seg.try_decode_range(0, &mut out).unwrap_err();
@@ -706,7 +720,7 @@ mod tests {
             let mut seg = crate::pfor::compress_in(&values, 0, 8, Default::default(), layout);
             let pred = ValuePred::Cmp { op: PredOp::Lt, lit: 100 };
             let cp = seg.compile_predicate(&pred).expect("PFOR compiles");
-            seg.codes.truncate(seg.block_word_offset(bad) + 1);
+            seg.code_words.end = seg.code_words.start + seg.block_word_offset(bad) + 1;
 
             let mut out = vec![u32::MAX; values.len() - start];
             let err = seg.try_decode_range(start, &mut out).unwrap_err();

@@ -51,15 +51,24 @@
 //! single-byte errors, so any one-byte corruption anywhere in a segment
 //! is *guaranteed* to surface as a typed [`WireError`] — the property the
 //! corruption sweep in `tests/corruption.rs` exercises exhaustively.
-//! Checksums are verified once per segment load ([`Segment::from_bytes`]),
-//! never on the per-block decode path, so decompression bandwidth (Fig. 4)
-//! is unaffected.
+//!
+//! A [`Segment`] is resident as this image (as ColumnBM keeps pages): CRCs
+//! are computed once when the encoder seals it and verified once per load
+//! ([`Segment::from_bytes`]). Decode reads code words in place and never
+//! checksums, and [`Segment::wire_bytes`] lends the image out as is.
 
 use crate::crc::crc32c;
 use crate::patch::EntryPoint;
 use crate::segment::{Layout as SegLayout, SchemeKind, Segment};
 use crate::value::Value;
 use std::fmt;
+
+// The image is held as `u32` words and lent out as their in-memory bytes,
+// which are its wire bytes only on a little-endian target.
+#[cfg(target_endian = "big")]
+compile_error!(
+    "scc-core keeps segments as little-endian words: big-endian targets are unsupported"
+);
 
 /// Fixed header size in bytes.
 pub const HEADER_BYTES: usize = 32;
@@ -79,6 +88,9 @@ pub const VERSION_V3: u8 = 3;
 
 /// v3 scheme-byte bit marking a vertical code section.
 const LAYOUT_FLAG: u8 = 0x80;
+
+/// The checksummed sections after the header, in wire order.
+const SECTIONS: [&str; 5] = ["entry points", "delta bases", "dictionary", "codes", "exceptions"];
 
 /// Vertical PFOR-DELTA lanes: delta bases per block.
 const VERT_DELTA_LANES: usize = 4;
@@ -171,13 +183,8 @@ struct Layout {
     scheme: SchemeKind,
     layout: SegLayout,
     vtype: u8,
-    width: usize,
     b: u32,
     n: usize,
-    n_exc: usize,
-    n_dict: usize,
-    codes_words: usize,
-    n_blocks: usize,
     /// Byte offsets of (entries, delta bases, dict, codes, exceptions)
     /// section starts, plus the total size as the final fence.
     fences: [usize; 6],
@@ -322,16 +329,10 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, VerifyFailure> {
         // mis-framing.
         return Err(fail(need, WireError::Corrupt("trailing bytes after segment")));
     }
-    let sections: [(&'static str, usize, usize); 5] = [
-        ("entry points", entries_off, deltas_off),
-        ("delta bases", deltas_off, dict_off),
-        ("dictionary", dict_off, codes_off),
-        ("codes", codes_off, exc_off),
-        ("exceptions", exc_off, need),
-    ];
-    for (i, &(section, start, end)) in sections.iter().enumerate() {
-        let stored = rd32(HEADER_BYTES + 4 + i * 4);
-        let computed = crc32c(&bytes[start..end]);
+    let fences = [entries_off, deltas_off, dict_off, codes_off, exc_off, need];
+    for (i, &section) in SECTIONS.iter().enumerate() {
+        let (start, stored) = (fences[i], rd32(HEADER_BYTES + 4 + i * 4));
+        let computed = crc32c(&bytes[start..fences[i + 1]]);
         if stored != computed {
             return Err(fail(start, WireError::Checksum { section, stored, computed }));
         }
@@ -367,85 +368,91 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, VerifyFailure> {
     if scheme == SchemeKind::Pdict && n_dict == 0 && n > 0 {
         return Err(fail(16, WireError::Corrupt("PDICT segment without a dictionary")));
     }
-    Ok(Layout {
-        version,
-        scheme,
-        layout,
-        vtype,
-        width,
-        b,
-        n,
-        n_exc,
-        n_dict,
-        codes_words,
-        n_blocks,
-        fences: [entries_off, deltas_off, dict_off, codes_off, exc_off, need],
-    })
+    Ok(Layout { version, scheme, layout, vtype, b, n, fences })
+}
+
+/// The in-memory bytes of `words`: their little-endian wire form.
+fn as_bytes(words: &[u32]) -> &[u8] {
+    // SAFETY: `u32` has no padding bytes, every byte is a valid `u8`, and
+    // `u8`'s alignment of 1 is met by any pointer; the length covers
+    // exactly the same memory as `words`, borrowed for the same lifetime.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) }
+}
+
+/// A zeroed buffer for a `words`-word image whose code section starts at
+/// word `codes_at`, and the image's first word in it: up to 3 words of
+/// padding put the code section on a 16-byte boundary of the allocation
+/// (which the system allocator aligns to 16), so the vertical kernels'
+/// 16-byte loads never straddle a cache line.
+fn aligned_image(codes_at: usize, words: usize) -> (Box<[u32]>, usize) {
+    let pad = codes_at.wrapping_neg() % 4;
+    (vec![0u32; pad + words].into_boxed_slice(), pad)
+}
+
+/// `bytes` read as little-endian words (a trailing partial word is dropped).
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap()))
 }
 
 impl<V: Value> Segment<V> {
-    /// Serializes the segment: wire format v2 for horizontal segments,
-    /// v3 for vertical ones (both checksummed; the byte layout is
-    /// otherwise identical).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// Builds the wire image from the segment's owned sections in one
+    /// allocation ([`aligned_image`]): header, entry points, delta bases and
+    /// dictionary, then `codes_words` code words that `pack` writes in
+    /// place, then the exceptions backwards, then the six CRCs.
+    pub(crate) fn seal(&mut self, codes_words: usize, pack: impl FnOnce(&mut [u32])) {
         let vertical = self.layout() == SegLayout::Vertical;
-        let version = if vertical { VERSION_V3 } else { VERSION };
-        let scheme_byte = self.scheme.tag() | if vertical { LAYOUT_FLAG } else { 0 };
         let w = V::byte_width();
-        let mut out = Vec::with_capacity(self.compressed_bytes());
-        out.extend_from_slice(&MAGIC);
-        out.push(version);
-        out.push(scheme_byte);
-        out.push(vtype_tag::<V>());
-        out.push(self.b as u8);
-        out.extend_from_slice(&(self.n as u32).to_le_bytes());
-        out.extend_from_slice(&(self.exceptions.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.dict.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.codes.len() as u32).to_le_bytes());
-        let mut base8 = [0u8; 8];
-        let mut tmp = Vec::with_capacity(8);
-        self.base.write_le(&mut tmp);
-        base8[..w].copy_from_slice(&tmp);
-        out.extend_from_slice(&base8);
-        debug_assert_eq!(out.len(), HEADER_BYTES);
-        // Checksum block placeholder, patched below once the section bytes
-        // exist.
-        out.extend_from_slice(&[0u8; CHECKSUM_BYTES]);
-        let entries_off = out.len();
+        let mut side = MAGIC.to_vec();
+        side.push(if vertical { VERSION_V3 } else { VERSION });
+        side.push(self.scheme.tag() | if vertical { LAYOUT_FLAG } else { 0 });
+        side.push(vtype_tag::<V>());
+        side.push(self.b as u8);
+        for count in [self.n, self.exceptions.len(), self.dict.len(), codes_words] {
+            side.extend_from_slice(&(count as u32).to_le_bytes());
+        }
+        self.base.write_le(&mut side);
+        // The base field is 8 bytes wide; the checksum block follows it.
+        side.resize(HEADER_BYTES_V2, 0);
         for e in &self.entries {
-            out.extend_from_slice(&e.0.to_le_bytes());
+            side.extend_from_slice(&e.0.to_le_bytes());
         }
-        let deltas_off = out.len();
-        for &v in &self.delta_bases {
-            v.write_le(&mut out);
+        for &v in self.delta_bases.iter().chain(&self.dict) {
+            v.write_le(&mut side);
         }
-        let dict_off = out.len();
-        for &v in &self.dict {
-            v.write_le(&mut out);
-        }
-        let codes_off = out.len();
-        for &word in &self.codes {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-        let exc_off = out.len();
+        let codes_at = side.len() / 4;
         // Exception section grows backwards: last-written exception first.
         for &v in self.exceptions.iter().rev() {
-            v.write_le(&mut out);
+            v.write_le(&mut side);
         }
-        let crcs = [
-            crc32c(&out[..HEADER_BYTES]),
-            crc32c(&out[entries_off..deltas_off]),
-            crc32c(&out[deltas_off..dict_off]),
-            crc32c(&out[dict_off..codes_off]),
-            crc32c(&out[codes_off..exc_off]),
-            crc32c(&out[exc_off..]),
-        ];
-        for (i, crc) in crcs.iter().enumerate() {
-            out[HEADER_BYTES + i * 4..HEADER_BYTES + (i + 1) * 4]
-                .copy_from_slice(&crc.to_le_bytes());
-        }
-        debug_assert_eq!(out.len(), self.compressed_bytes());
-        out
+        let (mut image, at) = aligned_image(codes_at, side.len() / 4 + codes_words);
+        let (head, rest) = image[at..].split_at_mut(codes_at);
+        let (codes, tail) = rest.split_at_mut(codes_words);
+        pack(codes);
+        head.iter_mut().chain(tail).zip(le_words(&side)).for_each(|(w, v)| *w = v);
+        let deltas_off = HEADER_BYTES_V2 + self.entries.len() * 4;
+        let dict_off = deltas_off + self.delta_bases.len() * w;
+        let exc_off = (codes_at + codes_words) * 4;
+        let bytes = as_bytes(&image[at..]);
+        let fences = [HEADER_BYTES_V2, deltas_off, dict_off, codes_at * 4, exc_off, bytes.len()];
+        let crcs: Vec<u32> = std::iter::once(0..HEADER_BYTES)
+            .chain(fences.windows(2).map(|f| f[0]..f[1]))
+            .map(|section| crc32c(&bytes[section]))
+            .collect();
+        image[at + HEADER_BYTES / 4..at + HEADER_BYTES_V2 / 4].copy_from_slice(&crcs);
+        self.code_words = at + codes_at..at + codes_at + codes_words;
+        (self.image, self.wire_at) = (image, at);
+    }
+
+    /// The segment's wire bytes, v2 for horizontal segments and v3 for
+    /// vertical ones (both checksummed; the byte layout is otherwise
+    /// identical), borrowed from the resident image.
+    pub fn wire_bytes(&self) -> &[u8] {
+        as_bytes(&self.image[self.wire_at..])
+    }
+
+    /// An owned copy of [`wire_bytes`](Self::wire_bytes).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.wire_bytes().to_vec()
     }
 
     /// Deserializes a segment written by [`to_bytes`](Self::to_bytes).
@@ -453,54 +460,32 @@ impl<V: Value> Segment<V> {
     /// Every section is verified against its CRC32C, so *any* single-byte
     /// corruption yields a typed [`WireError`]. All *structural* header
     /// fields are validated as well (width, counts, section sizes, exact
-    /// total length, entry-point monotonicity).
+    /// total length, entry-point monotonicity). The verified bytes become
+    /// the segment's image in one bulk copy (every valid segment is a
+    /// whole number of words).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
         let layout = parse_layout(bytes).map_err(|f| f.error)?;
         if layout.vtype != vtype_tag::<V>() {
             return Err(WireError::TypeMismatch { expected: V::NAME, found: layout.vtype });
         }
-        debug_assert_eq!(layout.width, V::byte_width());
-        let w = layout.width;
-        let rd32 = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        let base = V::read_le(&bytes[24..24 + w]);
+        let w = V::byte_width();
         let [entries_off, deltas_off, dict_off, codes_off, exc_off, _] = layout.fences;
-        let mut entries = Vec::with_capacity(layout.n_blocks);
-        for i in 0..layout.n_blocks {
-            entries.push(EntryPoint(rd32(entries_off + i * 4)));
-        }
-        let n_delta = (dict_off - deltas_off) / w.max(1);
-        let mut delta_bases = Vec::with_capacity(n_delta);
-        let mut off = deltas_off;
-        for _ in 0..n_delta {
-            delta_bases.push(V::read_le(&bytes[off..]));
-            off += w;
-        }
-        let mut dict = Vec::with_capacity(layout.n_dict);
-        let mut off = dict_off;
-        for _ in 0..layout.n_dict {
-            dict.push(V::read_le(&bytes[off..]));
-            off += w;
-        }
-        let mut codes = Vec::with_capacity(layout.codes_words);
-        for i in 0..layout.codes_words {
-            codes.push(rd32(codes_off + i * 4));
-        }
-        let mut exceptions = vec![V::default(); layout.n_exc];
-        let mut off = exc_off;
-        for i in (0..layout.n_exc).rev() {
-            exceptions[i] = V::read_le(&bytes[off..]);
-            off += w;
-        }
+        let values = |range: std::ops::Range<usize>| bytes[range].chunks_exact(w).map(V::read_le);
+        let entries = le_words(&bytes[entries_off..deltas_off]).map(EntryPoint).collect();
+        let (mut image, at) = aligned_image(codes_off / 4, bytes.len() / 4);
+        image[at..].iter_mut().zip(le_words(bytes)).for_each(|(w, v)| *w = v);
         Ok(Segment {
             scheme: layout.scheme,
             n: layout.n,
             b: layout.b,
-            base,
+            base: V::read_le(&bytes[24..24 + w]),
             entries,
-            delta_bases,
-            codes,
-            exceptions,
-            dict,
+            delta_bases: values(deltas_off..dict_off).collect(),
+            dict: values(dict_off..codes_off).collect(),
+            image,
+            wire_at: at,
+            code_words: at + codes_off / 4..at + exc_off / 4,
+            exceptions: values(exc_off..bytes.len()).rev().collect(),
             layout: layout.layout,
         })
     }
@@ -519,6 +504,7 @@ mod tests {
     use crate::pdict::Dictionary;
 
     include!("../tests/support/reseal.rs");
+    include!("../tests/support/reference_writer.rs");
 
     #[test]
     fn pfor_bytes_roundtrip() {

@@ -26,7 +26,7 @@
 
 use crate::chaos::{ChaosPlan, ChaosStream, Transport};
 use crate::protocol::{
-    self, ErrorCode, HealthState, HealthWindow, PredOp, Predicate, RawSegment, Request, Response,
+    self, ErrorCode, HealthState, HealthWindow, PredOp, Predicate, Request, Response,
 };
 use scc_core::frame::{self, FrameError};
 use scc_core::{Error, Segment, Value, WireError, BLOCK};
@@ -311,8 +311,12 @@ impl Client {
     /// `Ok(Response::Error { .. })`, not `Err` — streaming callers
     /// need to see them in-band).
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let payload = frame::read_frame(&mut self.stream, CLIENT_MAX_FRAME)?;
-        Ok(protocol::decode_response(&payload)?)
+        Ok(protocol::decode_response(&self.recv_payload()?)?)
+    }
+
+    /// Reads one response frame's payload, undecoded.
+    fn recv_payload(&mut self) -> Result<Vec<u8>, ClientError> {
+        Ok(frame::read_frame(&mut self.stream, CLIENT_MAX_FRAME)?)
     }
 
     /// One request → one response, with server errors lifted to `Err`.
@@ -345,10 +349,18 @@ impl Client {
             row_len,
             raw,
         };
-        match self.call(&req)? {
+        self.send(&req)?;
+        let payload = self.recv_payload()?;
+        if let Some(raw) = protocol::decode_raw_segments(&payload) {
+            let raw = raw?;
+            let mut out = Vector::empty(stored_type(raw.vtype)?);
+            append_segments(&mut out, raw.row_start, raw.row_len, &raw.segments)?;
+            return Ok(out);
+        }
+        match protocol::decode_response(&payload)? {
             Response::Values(v) => Ok(v),
-            Response::RawSegments { vtype, row_start, row_len, segments } => {
-                decode_raw(vtype, row_start, row_len, &segments)
+            Response::Error { code, message, retry_after_ms } => {
+                Err(ClientError::Server { code, message, retry_after_ms })
             }
             _ => Err(ClientError::Unexpected("wanted Values or RawSegments")),
         }
@@ -412,27 +424,28 @@ impl Client {
         let mut out: Vec<Vector> = Vec::with_capacity(want);
         let mut frames = 0u32;
         loop {
-            match self.recv()? {
-                Response::RawSegments { vtype, row_start, row_len, segments } => {
-                    frames += 1;
-                    let col = frame_column(&mut out, want, vtype, row_start, row_len)?;
-                    if !segments.is_empty() {
-                        append_segments(col, row_start, row_len, &segments)?;
-                    } else {
-                        // No stored form for these rows: their values follow.
-                        match self.recv()? {
-                            Response::Values(v) if v.len() == row_len as usize => {
-                                append_values(col, &v)?
-                            }
-                            Response::Error { code, message, retry_after_ms } => {
-                                return Err(ClientError::Server { code, message, retry_after_ms });
-                            }
-                            _ => {
-                                return Err(malformed("rows without stored form lack their Values"))
-                            }
+            let payload = self.recv_payload()?;
+            if let Some(raw) = protocol::decode_raw_segments(&payload) {
+                let raw = raw?;
+                frames += 1;
+                let col = frame_column(&mut out, want, raw.vtype, raw.row_start, raw.row_len)?;
+                if !raw.segments.is_empty() {
+                    append_segments(col, raw.row_start, raw.row_len, &raw.segments)?;
+                } else {
+                    // No stored form for these rows: their values follow.
+                    match self.recv()? {
+                        Response::Values(v) if v.len() == raw.row_len as usize => {
+                            append_values(col, &v)?
                         }
+                        Response::Error { code, message, retry_after_ms } => {
+                            return Err(ClientError::Server { code, message, retry_after_ms });
+                        }
+                        _ => return Err(malformed("rows without stored form lack their Values")),
                     }
                 }
+                continue;
+            }
+            match protocol::decode_response(&payload)? {
                 Response::ScanDone { rows, batches } => {
                     let closed = out.iter().all(|c| c.len() as u64 == rows);
                     let complete = if rows == 0 { out.is_empty() } else { out.len() == want };
@@ -782,18 +795,6 @@ fn stored_type(vtype: u8) -> Result<ColType, ClientError> {
         .ok_or(ClientError::Unexpected("undecodable raw segment value type"))
 }
 
-/// Decodes a raw segment-range response into a fresh vector.
-fn decode_raw(
-    vtype: u8,
-    row_start: u64,
-    row_len: u32,
-    segments: &[RawSegment],
-) -> Result<Vector, ClientError> {
-    let mut out = Vector::empty(stored_type(vtype)?);
-    append_segments(&mut out, row_start, row_len, segments)?;
-    Ok(out)
-}
-
 /// The column a stored-form scan frame extends: a frame at row 0 opens
 /// the next requested column; any other frame must continue the open
 /// column exactly where it ends, with the same value type.
@@ -840,7 +841,7 @@ fn append_segments(
     col: &mut Vector,
     row_start: u64,
     row_len: u32,
-    segments: &[RawSegment],
+    segments: &[(u64, &[u8])],
 ) -> Result<(), ClientError> {
     let (start, len) = (row_start as usize, row_len as usize);
     match col {
@@ -864,15 +865,15 @@ fn decode_append<V: Value>(
     out: &mut Vec<V>,
     start: usize,
     len: usize,
-    segments: &[RawSegment],
+    segments: &[(u64, &[u8])],
 ) -> Result<(), ClientError> {
     let end = start.checked_add(len).ok_or(malformed("raw segment range overflows"))?;
     // (segment, offset of its share, rows [lo, hi) of the share)
     let mut shares = Vec::with_capacity(segments.len());
     let mut row = start;
-    for raw in segments {
-        let seg = Segment::<V>::from_bytes(&raw.bytes).map_err(Error::Wire)?;
-        let first = raw.first_row as usize;
+    for &(first_row, bytes) in segments {
+        let seg = Segment::<V>::from_bytes(bytes).map_err(Error::Wire)?;
+        let first = first_row as usize;
         let offset = row
             .checked_sub(first)
             .filter(|&o| o < seg.len() && row < end)

@@ -197,7 +197,7 @@ pub enum Request {
 pub struct RawSegment {
     /// Global row index of the segment's first row.
     pub first_row: u64,
-    /// Checksummed v2 wire bytes (`Segment::to_bytes`).
+    /// Checksummed v2 or v3 wire bytes (`Segment::wire_bytes`).
     pub bytes: Vec<u8>,
 }
 
@@ -643,16 +643,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             v.write_wire(&mut out);
         }
         Response::RawSegments { vtype, row_start, row_len, segments } => {
-            out.push(RESP_RAW_SEGMENTS);
-            out.push(*vtype);
-            put_u64(&mut out, *row_start);
-            put_u32(&mut out, *row_len);
-            assert!(segments.len() <= u16::MAX as usize, "too many raw segments");
-            put_u16(&mut out, segments.len() as u16);
-            for seg in segments {
-                put_u64(&mut out, seg.first_row);
-                scc_core::frame::put_len_prefixed(&mut out, &seg.bytes);
-            }
+            let segments: Vec<_> = segments.iter().map(|s| (s.first_row, &s.bytes[..])).collect();
+            return encode_raw_segments(*vtype, *row_start, *row_len, &segments)
+                .expect("a RawSegments response carries at most MAX_RAW_SEGMENTS segments");
         }
         Response::Batch(batch) => {
             out.push(RESP_BATCH);
@@ -701,6 +694,73 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     out
 }
 
+/// Most segments one [`Response::RawSegments`] frame can carry: the
+/// count travels as a `u16`.
+pub const MAX_RAW_SEGMENTS: usize = u16::MAX as usize;
+
+/// Serializes a [`Response::RawSegments`] payload from borrowed
+/// `(first_row, wire bytes)` pairs into one buffer of its exact size —
+/// the server ships stored segment images through this without owning
+/// or re-serializing them. `None` when there are more than
+/// [`MAX_RAW_SEGMENTS`] segments, which no frame can carry.
+pub fn encode_raw_segments(
+    vtype: u8,
+    row_start: u64,
+    row_len: u32,
+    segments: &[(u64, &[u8])],
+) -> Option<Vec<u8>> {
+    let count = u16::try_from(segments.len()).ok()?;
+    let body: usize =
+        segments.iter().map(|(_, b)| 8 + scc_core::frame::LEN_PREFIX_BYTES + b.len()).sum();
+    let mut out = Vec::with_capacity(16 + body);
+    out.push(RESP_RAW_SEGMENTS);
+    out.push(vtype);
+    put_u64(&mut out, row_start);
+    put_u32(&mut out, row_len);
+    put_u16(&mut out, count);
+    for &(first_row, bytes) in segments {
+        put_u64(&mut out, first_row);
+        scc_core::frame::put_len_prefixed(&mut out, bytes);
+    }
+    Some(out)
+}
+
+/// A [`Response::RawSegments`] payload parsed in place: each segment's
+/// `(first_row, wire bytes)` is borrowed from the payload, not copied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawSegmentsRef<'a> {
+    /// `ColType` tag of the decoded values.
+    pub vtype: u8,
+    /// Echo of the requested first row.
+    pub row_start: u64,
+    /// Echo of the requested row count.
+    pub row_len: u32,
+    /// The segments the range touches, in row order.
+    pub segments: Vec<(u64, &'a [u8])>,
+}
+
+/// Parses `payload` as a [`Response::RawSegments`] without copying the
+/// segment bytes (the decoder [`decode_response`] uses too); `None` when
+/// the payload is another kind of response.
+pub fn decode_raw_segments(payload: &[u8]) -> Option<Result<RawSegmentsRef<'_>, Error>> {
+    if payload.first() != Some(&RESP_RAW_SEGMENTS) {
+        return None;
+    }
+    let mut c = Cur { buf: payload, pos: 1 };
+    let mut body = || {
+        let (vtype, row_start, row_len, n) = (c.u8()?, c.u64()?, c.u32()?, c.u16()?);
+        // Each segment needs at least its row and length prefix.
+        let mut segments = Vec::with_capacity((n as usize).min((c.buf.len() - c.pos) / 12));
+        for _ in 0..n {
+            let first_row = c.u64()?;
+            segments.push((first_row, scc_core::frame::take_len_prefixed(c.buf, &mut c.pos)?));
+        }
+        c.done()?;
+        Ok(RawSegmentsRef { vtype, row_start, row_len, segments })
+    };
+    Some(body())
+}
+
 /// Parses a response payload (the client half of the protocol; also
 /// strict, so a buggy or hostile server cannot make the client read
 /// out of bounds).
@@ -714,19 +774,17 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, Error> {
             Response::Values(v)
         }
         RESP_RAW_SEGMENTS => {
-            let vtype = c.u8()?;
-            let row_start = c.u64()?;
-            let row_len = c.u32()?;
-            let n = c.u16()? as usize;
-            let mut segments = Vec::new();
-            for _ in 0..n {
-                let first_row = c.u64()?;
-                let mut pos = c.pos;
-                let bytes = scc_core::frame::take_len_prefixed(c.buf, &mut pos)?.to_vec();
-                c.pos = pos;
-                segments.push(RawSegment { first_row, bytes });
-            }
-            Response::RawSegments { vtype, row_start, row_len, segments }
+            let RawSegmentsRef { vtype, row_start, row_len, segments } =
+                decode_raw_segments(payload).expect("the kind byte was just read")?;
+            let segments = segments
+                .into_iter()
+                .map(|(first_row, b)| RawSegment { first_row, bytes: b.to_vec() });
+            return Ok(Response::RawSegments {
+                vtype,
+                row_start,
+                row_len,
+                segments: segments.collect(),
+            });
         }
         RESP_BATCH => {
             let n_cols = c.u8()? as usize;

@@ -36,7 +36,7 @@
 //! `catch_unwind` as a last line of defense.
 
 use crate::protocol::{
-    self, ErrorCode, HealthState, HealthWindow, PredOp, Predicate, RawSegment, Request, Response,
+    self, ErrorCode, HealthState, HealthWindow, PredOp, Predicate, Request, Response,
 };
 use crate::Catalog;
 use scc_core::frame::{self, FrameError};
@@ -255,7 +255,6 @@ impl Shared {
             let _s = trace::span("server.serialize");
             protocol::encode_response(resp)
         };
-        m_counter("server.bytes_out", (payload.len() + frame::FRAME_OVERHEAD) as u64);
         match resp {
             Response::Error { code, .. } => {
                 m_counter("server.responses.error", 1);
@@ -263,8 +262,21 @@ impl Shared {
             }
             _ => m_counter("server.responses.ok", 1),
         }
+        self.write(stream, &payload)
+    }
+
+    /// Sends a `RawSegments` frame whose payload was encoded straight
+    /// from stored segment images (see [`stored_segments`]).
+    fn send_stored(&self, stream: &mut TcpStream, payload: &[u8]) -> bool {
+        m_counter("server.responses.ok", 1);
+        self.write(stream, payload)
+    }
+
+    /// Frames and writes one encoded response payload.
+    fn write(&self, stream: &mut TcpStream, payload: &[u8]) -> bool {
+        m_counter("server.bytes_out", (payload.len() + frame::FRAME_OVERHEAD) as u64);
         let _w = trace::span("server.write");
-        match frame::write_frame(stream, &payload) {
+        match frame::write_frame(stream, payload) {
             Ok(()) => true,
             Err(FrameError::Io(k)) if k == ErrorKind::WouldBlock || k == ErrorKind::TimedOut => {
                 m_counter("server.write_timeouts", 1);
@@ -308,6 +320,10 @@ impl Shared {
     // Request handlers
     // -----------------------------------------------------------------
 
+    /// The `SegmentRange` answer: `Ok` with a `RawSegments` payload
+    /// encoded from the stored segment images, when `raw` and every
+    /// touched segment has one, or `Err` with the values or error
+    /// response to send.
     fn handle_segment_range(
         &self,
         table: &str,
@@ -316,35 +332,36 @@ impl Shared {
         row_len: u32,
         raw: bool,
         started: Instant,
-    ) -> Response {
+    ) -> Result<Vec<u8>, Response> {
         if self.expired(started) {
-            return err(ErrorCode::Timeout, "deadline exceeded before service");
+            return Err(err(ErrorCode::Timeout, "deadline exceeded before service"));
         }
         let Some(t) = self.catalog.get(table) else {
-            return err(ErrorCode::UnknownTable, format!("no table {table}"));
+            return Err(err(ErrorCode::UnknownTable, format!("no table {table}")));
         };
         let Some(ci) = t.find_col(column) else {
-            return err(ErrorCode::UnknownColumn, format!("no column {column} in {table}"));
+            return Err(err(ErrorCode::UnknownColumn, format!("no column {column} in {table}")));
         };
         if matches!(t.columns()[ci].1, Column::Blob(_)) {
-            return err(ErrorCode::UnknownColumn, format!("column {column} is a blob"));
+            return Err(err(ErrorCode::UnknownColumn, format!("column {column} is a blob")));
         }
         let (start, len) = (row_start as usize, row_len as usize);
         let in_bounds = start.checked_add(len).is_some_and(|end| end <= t.n_rows());
         if !in_bounds {
-            return error_response(&Error::RangeOutOfBounds { start, len, n: t.n_rows() });
+            return Err(error_response(&Error::RangeOutOfBounds { start, len, n: t.n_rows() }));
         }
         if raw && len > 0 {
-            if let (vtype, Some(segments)) = stored_segments(t, ci, start, len) {
-                return Response::RawSegments { vtype: vtype.tag(), row_start, row_len, segments };
+            if let (_, Some(stored)) = stored_segments(t, ci, start, len) {
+                return Ok(stored);
             }
             // Some touched segment is stored plain or as an LZRW1 page
-            // — no checksummed wire form exists, so serve values.
+            // — no checksummed wire form exists — or the range spans
+            // more segments than one frame carries, so serve values.
         }
-        match t.try_read_rows(ci, start, len) {
+        Err(match t.try_read_rows(ci, start, len) {
             Ok(v) => Response::Values(v),
             Err(e) => error_response(&e),
-        }
+        })
     }
 
     /// Why a scan stream must end early, if it must: a forced shutdown
@@ -430,25 +447,28 @@ impl Shared {
                     return;
                 }
                 let len = frame_rows.min(n_rows - start);
-                let (vtype, segments) = stored_segments(t, ci, start, len);
-                let values = match segments {
-                    Some(_) => None,
+                let (vtype, stored) = stored_segments(t, ci, start, len);
+                frames += 1;
+                let sent = match stored {
+                    Some(frame) => self.send_stored(stream, &frame),
                     None => match t.try_read_rows(ci, start, len) {
-                        Ok(v) => Some(Response::Values(v)),
+                        // An empty RawSegments frame announces the values.
+                        Ok(v) => {
+                            let announce = Response::RawSegments {
+                                vtype: vtype.tag(),
+                                row_start: start as u64,
+                                row_len: len as u32,
+                                segments: Vec::new(),
+                            };
+                            self.send(stream, &announce) && self.send(stream, &Response::Values(v))
+                        }
                         Err(e) => {
                             self.send(stream, &error_response(&e));
                             return;
                         }
                     },
                 };
-                let frame = Response::RawSegments {
-                    vtype: vtype.tag(),
-                    row_start: start as u64,
-                    row_len: len as u32,
-                    segments: segments.unwrap_or_default(),
-                };
-                frames += 1;
-                if !self.send(stream, &frame) || values.is_some_and(|v| !self.send(stream, &v)) {
+                if !sent {
                     return; // client hung up mid-stream
                 }
             }
@@ -518,29 +538,34 @@ impl Shared {
 /// segments travels as one frame into one allocation.
 const SCAN_FRAME_SEGMENTS: usize = 16;
 
-/// The value type of column `ci` and the stored wire bytes of its
-/// segments covering `[start, start + len)` (`len > 0`) — `None` for the
-/// bytes when any touched segment has no checksummed representation.
-fn stored_segments(
-    t: &Table,
+/// The value type of column `ci` and an encoded `RawSegments` payload of
+/// its segments covering `[start, start + len)` (`len > 0`), borrowed
+/// from the images the segments are resident as — `None` for the
+/// payload when any touched segment has no checksummed representation,
+/// or when the range spans more segments than one frame can carry.
+fn stored_segments<'t>(
+    t: &'t Table,
     ci: usize,
     start: usize,
     len: usize,
-) -> (ColType, Option<Vec<RawSegment>>) {
+) -> (ColType, Option<Vec<u8>>) {
     let (col_name, column) = &t.columns()[ci];
-    let (store_wire, vtype): (&dyn Fn(usize) -> Option<Vec<u8>>, ColType) = match column {
-        Column::Num(NumColumn::I32(c)) => (&|s| c.segment_wire_bytes(s), ColType::I32),
-        Column::Num(NumColumn::I64(c)) => (&|s| c.segment_wire_bytes(s), ColType::I64),
-        Column::Num(NumColumn::U32(c)) => (&|s| c.segment_wire_bytes(s), ColType::U32),
-        Column::Str(s) => (&|i| s.codes.segment_wire_bytes(i), ColType::U32),
+    let (store_wire, vtype): (&dyn Fn(usize) -> Option<&'t [u8]>, ColType) = match column {
+        Column::Num(c @ NumColumn::I32(_)) => (&|s| c.segment_wire(s), ColType::I32),
+        Column::Num(c @ NumColumn::I64(_)) => (&|s| c.segment_wire(s), ColType::I64),
+        Column::Num(c @ NumColumn::U32(_)) => (&|s| c.segment_wire(s), ColType::U32),
+        Column::Str(s) => (&|i| s.codes.segment_wire(i), ColType::U32),
         Column::Blob(_) => unreachable!("blob {col_name} rejected before stored_segments"),
     };
     let seg_rows = t.seg_rows();
     let (seg_lo, seg_hi) = (start / seg_rows, (start + len - 1) / seg_rows);
-    let segments = (seg_lo..=seg_hi)
-        .map(|seg| Some(RawSegment { first_row: (seg * seg_rows) as u64, bytes: store_wire(seg)? }))
-        .collect();
-    (vtype, segments)
+    let segments: Option<Vec<(u64, &[u8])>> =
+        (seg_lo..=seg_hi).map(|seg| Some(((seg * seg_rows) as u64, store_wire(seg)?))).collect();
+    let payload = segments.and_then(|segments| {
+        let _s = trace::span("server.serialize");
+        protocol::encode_raw_segments(vtype.tag(), start as u64, len as u32, &segments)
+    });
+    (vtype, payload)
 }
 
 /// Builds the engine expression for a pushed-down predicate, typing
@@ -663,9 +688,12 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, queue_wait_ns: u64) {
                 troot.set_tag("kind", "segment_range");
                 {
                     let _ex = trace::span("server.execute");
-                    let resp = shared
-                        .handle_segment_range(&table, &column, row_start, row_len, raw, started);
-                    shared.send(&mut stream, &resp);
+                    match shared
+                        .handle_segment_range(&table, &column, row_start, row_len, raw, started)
+                    {
+                        Ok(stored) => shared.send_stored(&mut stream, &stored),
+                        Err(resp) => shared.send(&mut stream, &resp),
+                    };
                 }
                 book_data_request(
                     "server.service_ns.segment_range",

@@ -722,3 +722,69 @@ fn stored_form_streams_that_are_cut_or_do_not_tile_are_errors() {
         }
     }
 }
+
+/// A raw range over more segments than a `RawSegments` frame can count
+/// (its count is a `u16`) has no stored form to ship, so it is answered
+/// with values, as plain storage is — not with a panicked worker.
+#[test]
+fn raw_range_over_more_segments_than_a_frame_counts_is_served_as_values() {
+    const SEGMENTS: usize = u16::MAX as usize + 2;
+    let values: Vec<u32> = (0..SEGMENTS * 128).map(|i| (i % 2) as u32).collect();
+    let table = TableBuilder::new("t").seg_rows(128).add_u32("v", values.clone()).build();
+    assert!(stored_forms(&table, "v").iter().all(|&s| s), "every segment is stored compressed");
+    let (server, addr) = start_server_with(&[&table]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let all = values.len() as u32;
+    let got = client.segment_range("t", "v", 0, all, true).expect("served as values");
+    assert_eq!(got.as_u32(), &values[..]);
+    // The connection survives, and a range a frame can carry still ships.
+    let got = client.segment_range("t", "v", 1000, 5000, true).expect("raw range");
+    assert_eq!(got.as_u32(), &values[1000..6000]);
+    drop(client); // a stopping server waits out idle connections
+    drop(server);
+}
+
+/// The frames the server writes from its resident segment images are
+/// byte for byte the frames of the same response built from owned
+/// copies of the segments, for a raw range and for a stored-form scan.
+#[test]
+fn stored_frames_equal_the_encoding_of_owned_segments() {
+    let typed = typed_table();
+    let Column::Num(column) = typed.col("i64") else { unreachable!() };
+    let owned = |segs: std::ops::Range<usize>| -> Vec<RawSegment> {
+        let wire = |s: usize| column.segment_wire_bytes(s).expect("compressed");
+        segs.map(|s| RawSegment { first_row: (s * 1024) as u64, bytes: wire(s) }).collect()
+    };
+    let vtype = scc_engine::ColType::I64.tag();
+    let cases = [
+        (
+            Request::SegmentRange {
+                table: "typed".into(),
+                column: "i64".into(),
+                row_start: 1000,
+                row_len: 3000,
+                raw: true,
+            },
+            Response::RawSegments { vtype, row_start: 1000, row_len: 3000, segments: owned(0..4) },
+        ),
+        (
+            Request::ScanSegments { table: "typed".into(), columns: vec!["i64".into()] },
+            Response::RawSegments {
+                vtype,
+                row_start: 0,
+                row_len: 16 * 1024,
+                segments: owned(0..16),
+            },
+        ),
+    ];
+    let (server, addr) = start_server_with(&[&typed]);
+    for (request, response) in cases {
+        let want = frame::encode(&protocol::encode_response(&response));
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        frame::write_frame(&mut stream, &protocol::encode_request(&request)).expect("send");
+        let mut got = vec![0u8; want.len()];
+        stream.read_exact(&mut got).expect("first response frame");
+        assert!(got == want, "{request:?}: frame bytes differ");
+    }
+    drop(server);
+}

@@ -264,15 +264,21 @@ impl<V: Value> ColumnStore<V> {
         Ok(())
     }
 
-    /// Serialized (checksummed v2) wire bytes of one segment, when it
-    /// has a checksummed representation: `None` for plain and LZRW1-page
+    /// The checksummed (v2 or v3) wire bytes of one segment, borrowed
+    /// from the image the segment is resident as, when it has a
+    /// checksummed representation: `None` for plain and LZRW1-page
     /// segments, whose formats carry no integrity metadata — corruption
     /// of those is undetectable by design and fault injection skips them.
-    pub fn segment_wire_bytes(&self, seg: usize) -> Option<Vec<u8>> {
+    pub fn segment_wire(&self, seg: usize) -> Option<&[u8]> {
         match &self.segments[seg] {
-            StoredSegment::Compressed(s, _) => Some(s.to_bytes()),
+            StoredSegment::Compressed(s, _) => Some(s.wire_bytes()),
             StoredSegment::Plain(_) | StoredSegment::Lz(..) => None,
         }
+    }
+
+    /// An owned copy of [`segment_wire`](Self::segment_wire).
+    pub fn segment_wire_bytes(&self, seg: usize) -> Option<Vec<u8>> {
+        self.segment_wire(seg).map(<[u8]>::to_vec)
     }
 
     /// Reads from the plain representation (uncompressed scan mode).
@@ -366,14 +372,19 @@ impl NumColumn {
         }
     }
 
-    /// Checksummed wire bytes of one segment (see
-    /// [`ColumnStore::segment_wire_bytes`]).
-    pub fn segment_wire_bytes(&self, seg: usize) -> Option<Vec<u8>> {
+    /// Checksummed wire bytes of one segment, borrowed (see
+    /// [`ColumnStore::segment_wire`]).
+    pub fn segment_wire(&self, seg: usize) -> Option<&[u8]> {
         match self {
-            NumColumn::I32(c) => c.segment_wire_bytes(seg),
-            NumColumn::I64(c) => c.segment_wire_bytes(seg),
-            NumColumn::U32(c) => c.segment_wire_bytes(seg),
+            NumColumn::I32(c) => c.segment_wire(seg),
+            NumColumn::I64(c) => c.segment_wire(seg),
+            NumColumn::U32(c) => c.segment_wire(seg),
         }
+    }
+
+    /// An owned copy of [`segment_wire`](Self::segment_wire).
+    pub fn segment_wire_bytes(&self, seg: usize) -> Option<Vec<u8>> {
+        self.segment_wire(seg).map(<[u8]>::to_vec)
     }
 }
 

@@ -301,10 +301,10 @@ mod tests {
             assert_eq!(got, want, "column {name} ({ci})");
         }
         // ...and the *encoded* segments are the very same bytes.
-        fn wire_bytes(col: &Column, seg: usize) -> Option<Vec<u8>> {
+        fn wire_bytes(col: &Column, seg: usize) -> Option<&[u8]> {
             match col {
-                Column::Num(n) => n.segment_wire_bytes(seg),
-                Column::Str(s) => s.codes.segment_wire_bytes(seg),
+                Column::Num(n) => n.segment_wire(seg),
+                Column::Str(s) => s.codes.segment_wire(seg),
                 Column::Blob(_) => None,
             }
         }

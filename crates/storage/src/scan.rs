@@ -298,17 +298,17 @@ impl Scan {
         Box::new(Exchange::new(n_parts as u64, rx, workers))
     }
 
-    /// Serialized checksummed bytes of column `c`'s part of segment
+    /// The stored checksummed bytes of column `c`'s part of segment
     /// `seg`, for fault validation. `None` when the stored form carries
     /// no checksums (plain arrays, LZRW1 pages, blobs, uncompressed
     /// scans): damage there is undetectable and never injected.
-    fn chunk_payload(&self, c: usize, seg: usize) -> Option<Vec<u8>> {
+    fn chunk_payload(&self, c: usize, seg: usize) -> Option<&[u8]> {
         if self.faulty.is_none() || self.opts.mode == ScanMode::Uncompressed {
             return None;
         }
         match &self.table.columns()[c].1 {
-            Column::Num(nc) => nc.segment_wire_bytes(seg),
-            Column::Str(sc) => sc.codes.segment_wire_bytes(seg),
+            Column::Num(nc) => nc.segment_wire(seg),
+            Column::Str(sc) => sc.codes.segment_wire(seg),
             Column::Blob(_) => None,
         }
     }
@@ -374,11 +374,7 @@ impl Scan {
                     let c = self.cols[i];
                     let bytes = self.column_segment_bytes(c, seg);
                     let payload = self.chunk_payload(c, seg);
-                    self.charge_chunk(
-                        (self.table.id, c as u32, seg as u32),
-                        bytes,
-                        payload.as_deref(),
-                    )?;
+                    self.charge_chunk((self.table.id, c as u32, seg as u32), bytes, payload)?;
                 }
             }
             Layout::Pax => {
@@ -387,11 +383,7 @@ impl Scan {
                 let n_cols = self.table.columns().len();
                 let bytes: u64 = (0..n_cols).map(|c| self.column_segment_bytes(c, seg)).sum();
                 let payload = (0..n_cols).find_map(|c| self.chunk_payload(c, seg));
-                self.charge_chunk(
-                    (self.table.id, u32::MAX, seg as u32),
-                    bytes,
-                    payload.as_deref(),
-                )?;
+                self.charge_chunk((self.table.id, u32::MAX, seg as u32), bytes, payload)?;
             }
         }
         Ok(())

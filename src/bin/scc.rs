@@ -137,9 +137,9 @@ fn cmd_compress<V: Value>(
         if values.is_empty() { vec![&[][..]] } else { values.chunks(SEG_VALUES).collect() };
     for chunk in chunks {
         let seg = compress_with_plan(chunk, &plan);
-        let bytes = seg.to_bytes();
+        let bytes = seg.wire_bytes();
         total_comp += bytes.len();
-        frame::put_len_prefixed(&mut out, &bytes);
+        frame::put_len_prefixed(&mut out, bytes);
     }
     fs::write(out_path, &out).map_err(|e| format!("writing {out_path}: {e}"))?;
     let raw = values.len() * V::byte_width();
